@@ -1,9 +1,9 @@
 """Generate, render and simulate a family of replicated-commit protocol state machines.
 
 The family is parameterized by the replication factor r: a generic pipeline
-enumerates all component-value combinations, derives one transition per
-(state, message) from pure rules, prunes unreachable states and merges
-behaviourally identical ones.  The resulting machines can be rendered as
+derives one transition per (state, message) from pure rules for every
+component-value combination reachable from the start state, then merges
+behaviourally identical states.  The resulting machines can be rendered as
 annotated text, DOT diagrams or a runnable Python module, and exercised in
 a deterministic fault-injecting network simulation.
 """
@@ -27,6 +27,7 @@ from .engine import (
     StageStats,
     bisimulation_oracle,
     enumerate_states,
+    generate_reachable,
     generate_state_machine,
     generate_transitions,
     generate_with_stats,
@@ -56,6 +57,7 @@ __all__ = [
     "StageStats",
     "bisimulation_oracle",
     "enumerate_states",
+    "generate_reachable",
     "generate_state_machine",
     "generate_transitions",
     "generate_with_stats",

@@ -1,5 +1,6 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line when it runs."""
 
+import hashlib
 import itertools
 import time
 from contextlib import contextmanager
@@ -105,6 +106,31 @@ def _action_trace(machine, sequence):
         actions, state = step(machine, state, message)
         out.append(actions)
     return out, state == machine.finish_state
+
+
+# r: (initial, after_prune, final, passes, SHA-256 of the serialized
+# document), recorded from the enumerate-prune-merge pipeline of the
+# paper; generation must reproduce every document byte for byte.
+DOCUMENTS = {
+    4: (512, 48, 33, 6, "d9366ab1bab739f4a6dd16dbf50b74a77ad6bfd9c460f77cb731b0c660526f4f"),
+    7: (1568, 126, 85, 10, "1bd6119e8d97f96a63c2da5ed13b372a8650aa8bde8e02ff2d18d5ea030e2695"),
+    13: (5408, 390, 261, 18, "57061341380f3b6a10425d0da7e24b45cc4fe63b0166af3560daa3d9b20aa28a"),
+    25: (20000, 1350, 901, 34, "7df481bbe130787523a7a10e1c38cb7ac8bacc6b7964ba93e306cd6d0205955b"),
+    46: (67712, 4416, 2945, 62, "d46ce164cdfabaaea6ba191e02b65ddb6f889236d4c67205d9d866c993f5362e"),
+    61: (119072, 7686, 5125, 82, "dd56870b62ac432ec7bce33e75d157e90868d96edd1b86ea5ebedd6d5e5c2739"),
+}
+
+
+def _document_record(machine, stats):
+    digest = hashlib.sha256(serialize(machine).encode()).hexdigest()
+    return (stats.initial, stats.after_prune, stats.final, stats.passes, digest)
+
+
+def test_documents_byte_identical(timed_family):
+    for r in TABLE_ROWS:
+        machine, stats, _ = timed_family[r]
+        assert _document_record(machine, stats) == DOCUMENTS[r], f"r={r}"
+    assert _document_record(*bft.generate_with_stats(61)) == DOCUMENTS[61]
 
 
 def test_criterion_6_minimization_soundness(raw4, pruned4, final4):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from commitfsm.engine import (
     SpecError,
     bisimulation_oracle,
     enumerate_states,
+    generate_reachable,
     generate_state_machine,
     generate_transitions,
     generate_with_stats,
@@ -127,6 +129,92 @@ class TestGenerateTransitions:
             generate_transitions(spec, {}, enumerate_states(spec))
 
 
+def bft_pipeline_args(r):
+    """(spec, rules, keyword arguments) exactly as bft passes them to the engine."""
+    p = bft.BftParameters.for_replication_factor(r)
+    kwargs = dict(
+        annotate_state=lambda s: bft.annotate(s, p),
+        annotate_transition=bft.annotate_transition,
+        finish_annotations=bft.FINISH_ANNOTATIONS,
+    )
+    return bft.bft_spec(r), bft.transition_rules(p), kwargs
+
+
+class TestGenerateReachable:
+    @pytest.mark.parametrize("r", [4, 7, 13])
+    def test_equals_the_pruned_raw_machine(self, r):
+        spec, rules, kwargs = bft_pipeline_args(r)
+        forward = generate_reachable(spec, rules, **kwargs)
+        pruned = prune_unreachable(bft.raw_machine(r))
+        assert set(forward.states) == set(pruned.states)
+        for name, st in pruned.states.items():
+            assert forward.states[name].transitions == st.transitions, name
+            assert forward.states[name].annotations == st.annotations, name
+        assert forward == pruned
+
+    def test_initial_is_the_component_space(self):
+        for r in (4, 7):
+            _, stats = bft.generate_with_stats(r)
+            assert stats.initial == len(enumerate_states(bft.bft_spec(r)))
+
+    def test_finish_state_only_when_reached(self):
+        spec = one_flag_spec()
+        machine = generate_reachable(spec, {"SET": lambda s: ((), (True,))})
+        assert set(machine.states) == {"F", "T"}
+        machine = generate_reachable(spec, {"SET": lambda s: ((), FINISH)})
+        assert set(machine.states) == {"F", FINISH}
+
+    def test_successor_equal_to_a_domain_vector(self):
+        # 1 == True: the successor names state T, as in generate_transitions
+        spec = one_flag_spec()
+        rules = {"SET": lambda s: ((), (1,))}
+        forward = generate_reachable(spec, rules)
+        assert forward == prune_unreachable(
+            generate_transitions(spec, rules, enumerate_states(spec))
+        )
+        assert forward.states["F"].transitions["SET"].to == "T"
+
+    @pytest.mark.parametrize(
+        "result, match",
+        [
+            ((("BOOM",), (True,)), "BOOM"),
+            (((), (2,)), "outside the component domain"),
+            (((), (None,)), "outside the component domain"),
+            (((), (True, False)), "outside the component domain"),
+            (((), [True]), "outside the component domain"),
+            (((), "DONE"), "bad successor"),
+        ],
+    )
+    def test_rule_error_on_reachable_state(self, result, match):
+        # the start state F reaches T, whose rule misbehaves
+        spec = one_flag_spec()
+        rules = {"SET": lambda s: result if s[0] else ((), (True,))}
+        with pytest.raises(GenerationError, match=match) as info:
+            generate_with_stats(spec, rules)
+        assert info.value.state == "T"
+
+    def test_rule_error_on_unreachable_state_goes_unreported(self):
+        # T is never reached from F, so only the full-space stage sees its error
+        spec = one_flag_spec()
+        rules = {"SET": lambda s: (("BOOM",), (True,)) if s[0] else ((), (False,))}
+        machine, stats = generate_with_stats(spec, rules)
+        assert set(machine.states) == {"F"}
+        assert (stats.initial, stats.after_prune, stats.final) == (2, 1, 1)
+        with pytest.raises(GenerationError, match="BOOM"):
+            generate_transitions(spec, rules, enumerate_states(spec))
+
+    def test_missing_rule_rejected(self):
+        with pytest.raises(SpecError, match="SET"):
+            generate_with_stats(one_flag_spec(), {})
+
+    def test_bad_start_vector_rejected(self):
+        spec = one_flag_spec()
+        # MetaModelSpec rejects it on construction; this bypasses that check
+        object.__setattr__(spec, "start_vector", (3,))
+        with pytest.raises(SpecError, match="start_vector"):
+            generate_with_stats(spec, {"SET": lambda s: ((), s)})
+
+
 class TestPrune:
     def test_family_r4_prunes_to_48(self, pruned4):
         assert state_counts(pruned4)[1] == 48
@@ -242,6 +330,80 @@ class TestMinimize:
         assert serialize(composed) == serialize(final4)
 
 
+def copied_layers_machine(rng):
+    """Random machine with merges several rounds deep.
+
+    A small layered plan (one start state, then up to six layers of plan
+    states) fixes per message the actions and the destination: itself, a
+    plan state one layer down (FINISH below the last), or now and then one
+    of its own layer or above.  Each plan state gets one to three copies,
+    each wired to random copies of its destinations.
+    """
+    layers = [[["s0"]]]
+    k = 1
+    for _ in range(rng.randint(1, 6)):
+        layer = []
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randint(1, 3)
+            layer.append([f"s{k + i}" for i in range(n)])
+            k += n
+        layers.append(layer)
+    states = {}
+    for depth, layer in enumerate(layers):
+        below = layers[depth + 1] if depth + 1 < len(layers) else [[FINISH]]
+        above = [group for upper in layers[: depth + 1] for group in upper]
+        for group in layer:
+            plan = {}
+            for msg in ("A", "B"):
+                x = rng.random()
+                to = None if x < 0.3 else rng.choice(above if x < 0.4 else below)
+                plan[msg] = (("X",) if rng.random() < 0.3 else (), to)
+            for name in group:
+                states[name] = State(name, {
+                    msg: Transition(msg, actions, name if to is None else rng.choice(to), (msg,))
+                    for msg, (actions, to) in plan.items()
+                }, (name,))
+    states[FINISH] = State(FINISH, {})
+    return StateMachine(4, 1, (ComponentSpec("x", BOOLEAN),), ("A", "B"), ("X",),
+                        states, "s0", FINISH)
+
+
+class TestMergeRounds:
+    @staticmethod
+    def reference_minimize(machine):
+        """The stage-by-stage loop: re-prune after every merge round."""
+        m = prune_unreachable(machine)
+        counts = []
+        while True:
+            m, changed = merge_equivalent_once(m)
+            if not changed:
+                return m, counts
+            again = prune_unreachable(m)
+            # a merge round never strands a survivor, so re-pruning is a no-op
+            assert again is m
+            counts.append(state_counts(m)[1])
+
+    @pytest.mark.parametrize("r", [4, 7, 13])
+    def test_equals_the_reprune_loop(self, r):
+        raw = bft.raw_machine(r)
+        reference, counts = self.reference_minimize(raw)
+        assert minimize(raw) == reference
+        machine, stats = bft.generate_with_stats(r)
+        assert machine == reference
+        assert list(stats.merge_passes) == counts
+        assert stats.passes == len(counts) + 1
+
+    def test_equals_the_reprune_loop_on_random_machines(self):
+        rng = random.Random(20261018)
+        rounds = []
+        for _ in range(300):
+            m = copied_layers_machine(rng)
+            reference, counts = self.reference_minimize(m)
+            assert minimize(m) == reference
+            rounds.append(len(counts))
+        assert max(rounds) >= 3  # the generator does exercise later rounds
+
+
 def _trace(machine, sequence):
     state = machine.start_state
     out = []
@@ -318,6 +480,11 @@ class TestStats:
         parts = stats.csv_row().split(",")
         assert len(parts) == 7
         assert parts[:5] == ["1", "4", "512", "48", "33"]
+
+    def test_stage_seconds_add_up_to_the_total(self):
+        _, stats = bft.generate_with_stats(4)
+        assert stats.generate_s > 0 and stats.merge_s > 0
+        assert abs(stats.generate_s + stats.merge_s - stats.millis / 1000) < 0.0011
 
     def test_generate_state_machine_matches_stats_variant(self):
         spec = bft.bft_spec(4)
