@@ -52,6 +52,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: Path, text: str) -> bool:
+    """Write text to path; on failure print one error line and return False."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_generate(args) -> int:
     r = args.replication_factor
     if r < bft.MIN_REPLICATION_FACTOR:
@@ -66,7 +76,8 @@ def _cmd_generate(args) -> int:
         for d in diags:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_FAILURE
-    Path(args.output).write_text(serialize(machine), encoding="utf-8")
+    if not _write(Path(args.output), serialize(machine)):
+        return EXIT_FAILURE
     print(stats.csv_row())
     return EXIT_OK
 
@@ -74,7 +85,7 @@ def _cmd_generate(args) -> int:
 def _cmd_render(args) -> int:
     try:
         text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     try:
@@ -97,7 +108,8 @@ def _cmd_render(args) -> int:
     except render.OptionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    Path(args.output).write_text(artefact, encoding="utf-8")
+    if not _write(Path(args.output), artefact):
+        return EXIT_FAILURE
     return EXIT_OK
 
 
@@ -140,7 +152,11 @@ def _cmd_simulate(args) -> int:
     label = _fault_label(args)
     trace_dir = Path(args.trace_dir) if args.trace_dir else None
     if trace_dir:
-        trace_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            trace_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create trace directory {trace_dir}: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
     first_failure = None
     for i in range(args.seeds):
         seed = args.seed + i
@@ -157,11 +173,13 @@ def _cmd_simulate(args) -> int:
         path = None
         if trace_dir:
             path = trace_dir / f"trace-{args.scenario}-r{r}-seed{seed}.txt"
-            path.write_text(trace.serialize(), encoding="utf-8")
+            if not _write(path, trace.serialize()):
+                return EXIT_FAILURE
         if not verdict.ok and first_failure is None:
             if path is None:
                 path = Path(f"trace-{args.scenario}-r{r}-seed{seed}.txt")
-                path.write_text(trace.serialize(), encoding="utf-8")
+                if not _write(path, trace.serialize()):
+                    return EXIT_FAILURE
             first_failure = path
     if first_failure is not None:
         print(f"first failing trace: {first_failure}", file=sys.stderr)

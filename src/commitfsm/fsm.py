@@ -268,52 +268,92 @@ def validate(machine: StateMachine) -> list[str]:
     return diags
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _array(items: list[str], indent: str) -> str:
+    """Join encoded items into a JSON array in the ``indent=2`` layout.
+
+    ``indent`` is the indentation of the line holding the opening bracket;
+    each item's own continuation lines must already be indented below it.
+    """
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _strings(values: Iterable[str], indent: str) -> str:
+    """A JSON array of strings in the ``indent=2`` layout."""
+    return _array(list(map(_quote, values)), indent)
+
+
 def serialize(machine: StateMachine) -> str:
     """Render the machine as its canonical UTF-8 JSON document.
 
     States are sorted by name and transitions follow the declared message
     order, so equal machines always produce byte-identical documents.
+
+    The output is byte for byte ``json.dumps(doc, indent=2) + "\\n"`` of the
+    document object: two-space indent, items separated by ``","`` and a
+    newline, ``": "`` after keys, ``[]`` for an empty list, and every
+    non-ASCII character written as a ``\\u`` escape.  It is emitted
+    directly because ``json.dumps`` with an ``indent`` falls back to the
+    pure-Python encoder (the C encoder serves only ``indent=None``); strings
+    are escaped by the C function that ``json.dumps`` itself uses.  A value
+    that is not a ``str`` where the document holds a string (a name, kind,
+    message, action, destination or annotation) raises ``TypeError``, as
+    does a list where ``Transition`` declares a tuple; every machine that
+    ``engine`` or ``deserialize`` builds has ``str`` and tuples there.
     """
     comps = []
     for c in machine.components:
-        entry: dict[str, Any] = {"name": c.name, "kind": c.kind}
+        entry = f'{{\n      "name": {_quote(c.name)},\n      "kind": {_quote(c.kind)}'
         if c.kind == BOUNDED_INTEGER:
-            entry["max"] = c.max_value
-        comps.append(entry)
-    states_doc = []
-    for name in sorted(machine.states):
-        st = machine.states[name]
+            entry += f',\n      "max": {json.dumps(c.max_value)}'
+        comps.append(entry + "\n    }")
+    messages = machine.messages
+    states = machine.states
+    # A machine has only a handful of distinct action and annotation lists.
+    lists: dict[tuple[str, ...], str] = {}
+    blocks = []
+    for name in sorted(states):
+        st = states[name]
         trans = []
-        for msg in machine.messages:
+        for msg in messages:
             t = st.transitions.get(msg)
             if t is None:
                 continue
+            actions = lists.get(t.actions)
+            if actions is None:
+                actions = lists[t.actions] = _strings(t.actions, "          ")
+            notes = lists.get(t.annotations)
+            if notes is None:
+                notes = lists[t.annotations] = _strings(t.annotations, "          ")
             trans.append(
-                {
-                    "message": t.message,
-                    "actions": list(t.actions),
-                    "to": t.to,
-                    "annotations": list(t.annotations),
-                }
+                f'{{\n          "message": {_quote(t.message)},'
+                f'\n          "actions": {actions},'
+                f'\n          "to": {_quote(t.to)},'
+                f'\n          "annotations": {notes}'
+                "\n        }"
             )
-        states_doc.append(
-            {
-                "name": name,
-                "annotations": list(st.annotations),
-                "transitions": trans,
-            }
+        blocks.append(
+            f'{{\n      "name": {_quote(name)},'
+            f'\n      "annotations": {_strings(st.annotations, "      ")},'
+            f'\n      "transitions": {_array(trans, "      ")}'
+            "\n    }"
         )
-    doc = {
-        "replication_factor": machine.replication_factor,
-        "fault_tolerance": machine.fault_tolerance,
-        "components": comps,
-        "messages": list(machine.messages),
-        "actions": list(machine.actions),
-        "start_state": machine.start_state,
-        "finish_state": machine.finish_state,
-        "states": states_doc,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return (
+        f'{{\n  "replication_factor": {json.dumps(machine.replication_factor)},'
+        f'\n  "fault_tolerance": {json.dumps(machine.fault_tolerance)},'
+        f'\n  "components": {_array(comps, "  ")},'
+        f'\n  "messages": {_strings(messages, "  ")},'
+        f'\n  "actions": {_strings(machine.actions, "  ")},'
+        f'\n  "start_state": {_quote(machine.start_state)},'
+        f'\n  "finish_state": {_quote(machine.finish_state)},'
+        f'\n  "states": {_array(blocks, "  ")}'
+        "\n}\n"
+    )
 
 
 _TOP_KEYS = {

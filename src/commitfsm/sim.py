@@ -45,6 +45,8 @@ CONTROLLER = "ctrl"
 
 # Network message kinds a Byzantine node may inject (FREE is controller-local).
 _WIRE_KINDS = ("PUT", "VOTE", "COMMIT", "NOT_FREE")
+# The machine actions that broadcast a message, and the kind they send.
+_WIRE_KIND_OF = {"SEND_VOTE": "VOTE", "SEND_COMMIT": "COMMIT", "SEND_NOT_FREE": "NOT_FREE"}
 
 
 class ConfigError(ValueError):
@@ -281,9 +283,8 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
         fault = fault_of.get(node)
         if fault is not None and fault.kind == SILENT:
             return
-        wire = {"SEND_VOTE": "VOTE", "SEND_COMMIT": "COMMIT", "SEND_NOT_FREE": "NOT_FREE"}
         for action in actions:
-            kind = wire.get(action)
+            kind = _WIRE_KIND_OF.get(action)
             if kind is None:
                 continue
             for peer in range(r):

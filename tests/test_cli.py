@@ -6,6 +6,13 @@ from commitfsm.cli import main
 from commitfsm.fsm import deserialize
 
 
+def _assert_one_error_line(capsys) -> str:
+    """The command wrote exactly one ``error: ...`` line to stderr; return it."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
 @pytest.fixture()
 def machine_doc(tmp_path):
     path = tmp_path / "m4.json"
@@ -44,6 +51,11 @@ class TestGenerate:
 
     def test_missing_arguments(self):
         assert main(["generate"]) == 2
+
+    def test_output_directory_missing(self, tmp_path, capsys):
+        rc = main(["generate", "-r", "4", "-o", str(tmp_path / "absent" / "m4.json")])
+        assert rc == 1
+        _assert_one_error_line(capsys)
 
 
 class TestRender:
@@ -89,6 +101,19 @@ class TestRender:
                    "-o", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_non_utf8_input(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"name": "caf\xe9"}')
+        rc = main(["render", "-i", str(bad), "--format", "text", "-o", str(tmp_path / "x")])
+        assert rc == 1
+        assert "cannot read" in _assert_one_error_line(capsys)
+
+    def test_output_directory_missing(self, machine_doc, tmp_path, capsys):
+        rc = main(["render", "-i", str(machine_doc), "--format", "text",
+                   "-o", str(tmp_path / "absent" / "m4.txt")])
+        assert rc == 1
+        assert "cannot write" in _assert_one_error_line(capsys)
+
     def test_bad_module_name(self, machine_doc, tmp_path):
         rc = main(["render", "-i", str(machine_doc), "--format", "source",
                    "-o", str(tmp_path / "x.py"), "--module-name", "9bad"])
@@ -116,6 +141,13 @@ class TestSimulate:
             "trace-single_update-r4-seed0.txt",
             "trace-single_update-r4-seed1.txt",
         ]
+
+    def test_trace_dir_is_a_file(self, tmp_path, capsys):
+        occupied = tmp_path / "occupied"
+        occupied.write_text("")
+        rc = main(["simulate", "-r", "4", "--seeds", "1", "--trace-dir", str(occupied)])
+        assert rc == 1
+        assert "trace directory" in _assert_one_error_line(capsys)
 
     def test_trace_determinism(self, tmp_path, capsys):
         a = tmp_path / "a"
