@@ -158,6 +158,7 @@ def _cmd_simulate(args) -> int:
             print(f"error: cannot create trace directory {trace_dir}: {exc}", file=sys.stderr)
             return EXIT_FAILURE
     first_failure = None
+    stall_lines: list[str] = []
     for i in range(args.seeds):
         seed = args.seed + i
         config = sim.SimConfig(
@@ -181,8 +182,11 @@ def _cmd_simulate(args) -> int:
                 if not _write(path, trace.serialize()):
                     return EXIT_FAILURE
             first_failure = path
+            stall_lines = sim.stall_report(trace, config)
     if first_failure is not None:
         print(f"first failing trace: {first_failure}", file=sys.stderr)
+        for line in stall_lines:
+            print(f"  {line}", file=sys.stderr)
         return EXIT_SIM_FAIL
     return EXIT_OK
 

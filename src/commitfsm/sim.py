@@ -53,7 +53,7 @@ class ConfigError(ValueError):
     """Simulation configuration inconsistent with the machine."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fault:
     node: int
     kind: str
@@ -64,7 +64,7 @@ class Fault:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimConfig:
     replication_factor: int
     seed: int
@@ -105,6 +105,25 @@ class Event(NamedTuple):
     actions: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class SimCounters:
+    """What happened to the messages of one run.
+
+    Every message put on the network is taken off it once, so the client's
+    ``r * len(updates)`` puts plus ``controller`` plus ``sent`` equal
+    ``delivered``.
+    """
+
+    sent: int = 0  # peer messages put by nodes, Byzantine injections included
+    delivered: int = 0  # messages taken off the network, from every sender
+    deduplicated: int = 0  # peer messages discarded as repeats
+    dropped: int = 0  # messages that reached a crashed node
+    injected: int = 0  # messages a Byzantine node put in place of its own
+    controller: int = 0  # FREE and NOT_FREE messages of the slot controllers
+    # node -> the delivery step at which it finished its last update
+    finish_steps: dict[int, int] = field(default_factory=dict)
+
+
 @dataclass
 class SimTrace:
     replication_factor: int
@@ -115,9 +134,14 @@ class SimTrace:
     statuses: dict[int, str]
     finish_orders: dict[int, tuple[str, ...]]
     faulty: tuple[int, ...]
+    counters: SimCounters = field(default_factory=SimCounters)
 
     def serialize(self) -> str:
-        """Line-delimited records: step,from,to,message,state_before,state_after,actions."""
+        """Line-delimited records: step,from,to,message,state_before,state_after,actions.
+
+        A header line precedes them; one ``# node=`` line per node and one
+        ``# counters`` line follow them.
+        """
         lines = [
             f"# scenario={self.scenario} r={self.replication_factor} "
             f"seed={self.seed} delivery={self.delivery} faulty={list(self.faulty)}"
@@ -131,6 +155,13 @@ class SimTrace:
         for node in sorted(self.statuses):
             order = ";".join(self.finish_orders[node])
             lines.append(f"# node={node} status={self.statuses[node]} finished={order}")
+        c = self.counters
+        steps = ";".join(f"{n}:{s}" for n, s in sorted(c.finish_steps.items()))
+        lines.append(
+            f"# counters sent={c.sent} delivered={c.delivered} "
+            f"deduplicated={c.deduplicated} dropped={c.dropped} "
+            f"injected={c.injected} controller={c.controller} finish_steps={steps}"
+        )
         return "\n".join(lines) + "\n"
 
 
@@ -140,50 +171,6 @@ class Verdict(NamedTuple):
 
     def __str__(self):
         return "PASS" if self.ok else f"FAIL({self.reason})"
-
-
-class _Scheduler:
-    """Pending deliveries, drained in a seeded order.
-
-    fifo_per_link keeps per-(sender, receiver) FIFO queues and picks a random
-    nonempty link each turn; random_interleave picks a random pending message
-    regardless of origin.
-    """
-
-    def __init__(self, mode: str, rng: random.Random):
-        self.mode = mode
-        self.rng = rng
-        self._links: dict[tuple, deque] = {}
-        self._ready: list[tuple] = []
-        self._pool: list = []
-
-    def put(self, sender, receiver, kind, update):
-        item = (sender, receiver, kind, update)
-        if self.mode == FIFO_PER_LINK:
-            key = (sender, receiver)
-            q = self._links.get(key)
-            if q is None:
-                q = self._links[key] = deque()
-            if not q:
-                self._ready.append(key)
-            q.append(item)
-        else:
-            self._pool.append(item)
-
-    def __bool__(self):
-        return bool(self._ready or self._pool)
-
-    def next(self):
-        if self.mode == FIFO_PER_LINK:
-            i = self.rng.randrange(len(self._ready))
-            key = self._ready[i]
-            q = self._links[key]
-            item = q.popleft()
-            if not q:
-                del self._ready[i]
-            return item
-        i = self.rng.randrange(len(self._pool))
-        return self._pool.pop(i)
 
 
 class SlotController:
@@ -232,8 +219,28 @@ class SlotController:
         return []
 
 
+def _below(getrandbits, n: int) -> int:
+    """Draw uniformly from range(n) by rejection over ``getrandbits``.
+
+    This is the algorithm ``Random.randrange(n)`` and ``Random.choice`` run
+    (CPython 3.10 to 3.13), draw for draw, so a trace depends only on the
+    generator's ``getrandbits`` stream.
+    """
+    k = n.bit_length()
+    x = getrandbits(k)
+    while x >= n:
+        x = getrandbits(k)
+    return x
+
+
 def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
-    """Run one seeded scenario to completion and return the full trace."""
+    """Run one seeded scenario to completion and return the full trace.
+
+    Pending deliveries are drained in a seeded order: fifo_per_link keeps
+    per-(sender, receiver) FIFO queues and picks a random nonempty link each
+    turn; random_interleave picks a random pending message regardless of
+    origin.  Every random index comes from ``_below``.
+    """
     r = config.replication_factor
     if machine.replication_factor != r:
         raise ConfigError(
@@ -241,97 +248,137 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
             f"config wants r={r}"
         )
     updates = config.updates
+    n_updates = len(updates)
     rng = random.Random(config.seed)
-    fault_of = {f.node: f for f in config.faults}
+    getrandbits = rng.getrandbits
     crash_step: dict[int, int] = {}
+    silent: set[int] = set()
+    byzantine: set[int] = set()
     for f in config.faults:
         if f.kind == CRASH:
             crash_step[f.node] = (
                 f.crash_step
                 if f.crash_step is not None
-                else rng.randrange(1, 4 * r * len(updates) + 2)
+                else 1 + _below(getrandbits, 4 * r * n_updates + 1)
             )
+        elif f.kind == SILENT:
+            silent.add(f.node)
+        else:
+            byzantine.add(f.node)
 
+    names = [str(n) for n in range(r)]
+    peers = [[p for p in range(r) if p != n] for n in range(r)]
+    states = machine.states
+    start = machine.start_state
     cursors: dict[tuple[int, str], str] = {}
-    controllers = {n: SlotController(updates) for n in range(r)}
-    processed: dict[int, int] = {n: 0 for n in range(r)}
+    controllers = [SlotController(updates) for _ in range(r)]
+    processed = {n: 0 for n in range(r)}
     crashed: set[int] = set()
     seen: set[tuple] = set()
     finish_orders: dict[int, list[str]] = {n: [] for n in range(r)}
+    finish_steps: dict[int, int] = {}
     events: list[Event] = []
-    sched = _Scheduler(config.delivery, rng)
-    step_no = 0
+    step_no = sent = deduplicated = dropped = injected = local = 0
+
+    fifo = config.delivery == FIFO_PER_LINK
+    pending: list = []  # fifo: the nonempty link queues; else the messages
+    if fifo:
+        links: dict[tuple, deque] = {}
+
+        def put(sender, receiver, kind, update):
+            q = links.get((sender, receiver))
+            if q is None:
+                q = links[sender, receiver] = deque()
+            if not q:
+                pending.append(q)
+            q.append((sender, receiver, kind, update))
+    else:
+
+        def put(sender, receiver, kind, update):
+            pending.append((sender, receiver, kind, update))
 
     for update in updates:
         for node in range(r):
-            sched.put(CLIENT, node, "PUT", update)
+            put(CLIENT, node, "PUT", update)
 
-    def machine_step(node: int, sender: str, kind: str, update: str):
-        before = cursors.get((node, update), machine.start_state)
-        if before == FINISH:
-            return
-        actions, after = step(machine, before, kind)
-        cursors[(node, update)] = after
-        events.append(Event(step_no, sender, node, kind, update, before, after, actions))
-        if after == FINISH:
-            finish_orders[node].append(update)
-            for k, u in controllers[node].on_finish(update):
-                sched.put(CONTROLLER, node, k, u)
-        emit(node, update, actions)
-
-    def emit(node: int, update: str, actions: tuple[str, ...]):
-        fault = fault_of.get(node)
-        if fault is not None and fault.kind == SILENT:
-            return
-        for action in actions:
-            kind = _WIRE_KIND_OF.get(action)
-            if kind is None:
-                continue
-            for peer in range(r):
-                if peer == node:
-                    continue
-                if fault is not None and fault.kind == BYZANTINE:
-                    sched.put(
-                        str(node),
-                        peer,
-                        rng.choice(_WIRE_KINDS),
-                        rng.choice(updates),
-                    )
-                else:
-                    sched.put(str(node), peer, kind, update)
-
-    while sched:
-        sender, node, kind, update = sched.next()
+    while pending:
+        i = _below(getrandbits, len(pending))
+        if fifo:
+            q = pending[i]
+            item = q.popleft()
+            if not q:
+                del pending[i]
+        else:
+            item = pending.pop(i)
         step_no += 1
+        sender, node, kind, update = item
         if node in crashed:
+            dropped += 1
             continue
         limit = crash_step.get(node)
         if limit is not None and processed[node] >= limit:
             crashed.add(node)
+            dropped += 1
             continue
-        if sender not in (CLIENT, CONTROLLER):
-            key = (sender, node, kind, update)
-            if key in seen:
+        if sender != CLIENT and sender != CONTROLLER:
+            if item in seen:
+                deduplicated += 1
                 continue
-            seen.add(key)
+            seen.add(item)
         processed[node] += 1
         if sender != CONTROLLER and kind == "NOT_FREE":
             # a peer claimed the slot for `update`: its competitors at this
             # node may no longer choose
-            for other in updates:
-                if other != update:
-                    machine_step(node, sender, "NOT_FREE", other)
-            continue
-        machine_step(node, sender, kind, update)
+            targets = [u for u in updates if u != update]
+        else:
+            targets = (update,)
+        for u in targets:
+            before = cursors.get((node, u), start)
+            if before == FINISH:
+                continue
+            try:
+                t = states[before].transitions[kind]
+            except KeyError:
+                step(machine, before, kind)  # raises the interpreter's error
+                raise
+            actions = t.actions
+            after = t.to
+            cursors[node, u] = after
+            events.append(Event(step_no, sender, node, kind, u, before, after, actions))
+            if after == FINISH:
+                order = finish_orders[node]
+                order.append(u)
+                if len(order) == n_updates:
+                    finish_steps[node] = step_no
+                for k, v in controllers[node].on_finish(u):
+                    put(CONTROLLER, node, k, v)
+                    local += 1
+            if not actions or node in silent:
+                continue
+            for action in actions:
+                wire = _WIRE_KIND_OF.get(action)
+                if wire is None:
+                    continue
+                name = names[node]
+                if node in byzantine:
+                    for peer in peers[node]:
+                        put(name, peer, _WIRE_KINDS[_below(getrandbits, len(_WIRE_KINDS))],
+                            updates[_below(getrandbits, n_updates)])
+                    injected += r - 1
+                else:
+                    for peer in peers[node]:
+                        put(name, peer, wire, u)
+                sent += r - 1
         if kind == "PUT":
-            for k, u in controllers[node].on_put(update):
-                sched.put(CONTROLLER, node, k, u)
+            for k, v in controllers[node].on_put(update):
+                put(CONTROLLER, node, k, v)
+                local += 1
 
     statuses = {}
     for node in range(r):
         if node in crashed:
             statuses[node] = CRASHED
-        elif len(finish_orders[node]) == len(updates):
+        elif len(finish_orders[node]) == n_updates:
             statuses[node] = FINISHED
         else:
             statuses[node] = STUCK
@@ -343,7 +390,8 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
         events=tuple(events),
         statuses=statuses,
         finish_orders={n: tuple(v) for n, v in finish_orders.items()},
-        faulty=tuple(sorted(fault_of)),
+        faulty=tuple(sorted(f.node for f in config.faults)),
+        counters=SimCounters(sent, step_no, deduplicated, dropped, injected, local, finish_steps),
     )
 
 
@@ -361,6 +409,50 @@ def check_agreement(trace: SimTrace, config: SimConfig) -> Verdict:
         if any(trace.statuses.get(n) != FINISHED for n in correct):
             return Verdict(False, "liveness")
     return Verdict(True)
+
+
+def stall_report(trace: SimTrace, config: SimConfig) -> list[str]:
+    """Name what a run's correct nodes failed to reach, one line per finding.
+
+    Safety: two finished correct nodes whose finish orders differ.
+    Liveness: for each correct node that has not finished, the first update
+    it has not finished, with the VOTE and COMMIT messages delivered to it
+    for that update against the vote quorum r - f (its own vote counts
+    towards it) and the commit quorum f + 1.  Both counts come from the
+    trace's events, not from state names.
+    """
+    r = config.replication_factor
+    f = (r - 1) // 3
+    correct = [n for n in range(r) if n not in trace.faulty]
+    finished = [n for n in correct if trace.statuses.get(n) == FINISHED]
+    lines = []
+    orders = trace.finish_orders
+    differing = [n for n in finished if orders[n] != orders[finished[0]]]
+    if differing:
+        a, b = finished[0], differing[0]
+        lines.append(
+            f"safety: node {a} finished {';'.join(orders[a])} "
+            f"but node {b} finished {';'.join(orders[b])}"
+        )
+    delivered: dict[tuple, int] = {}
+    for e in trace.events:
+        if e.message == "VOTE" or e.message == "COMMIT":
+            key = (e.receiver, e.update, e.message)
+            delivered[key] = delivered.get(key, 0) + 1
+    for n in correct:
+        if n in finished:
+            continue
+        update = next((u for u in config.updates if u not in orders[n]), None)
+        if update is None:  # STUCK although every update finished: a doctored trace
+            continue
+        votes = delivered.get((n, update, "VOTE"), 0)
+        commits = delivered.get((n, update, "COMMIT"), 0)
+        lines.append(
+            f"liveness: node {n} is {trace.statuses.get(n)} on {update}: "
+            f"{votes} VOTE delivered for a quorum of r-f={r - f} (own vote included), "
+            f"{commits} COMMIT delivered for a quorum of f+1={f + 1}"
+        )
+    return lines
 
 
 def check_quorum_safety(trace: SimTrace, vote_threshold: int, commit_threshold: int) -> list[str]:

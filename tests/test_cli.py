@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from commitfsm import sim
 from commitfsm.cli import main
 from commitfsm.fsm import deserialize
 
@@ -163,6 +168,36 @@ class TestSimulate:
 
     def test_small_cluster_rejected(self, capsys):
         assert main(["simulate", "-r", "2", "--seeds", "1"]) == 2
+
+    def test_failing_run_names_the_missing_quorums(self, tmp_path, capsys, monkeypatch):
+        # two silent nodes at r = 4 exceed the fault budget, so the run
+        # passes; a failing verdict forced on it makes the CLI report the
+        # stall of the two correct nodes
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sim, "check_agreement", lambda trace, config: sim.Verdict(False, "liveness"))
+        rc = main(["simulate", "-r", "4", "--silent", "2", "--seed", "5"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "first failing trace: trace-single_update-r4-seed5.txt"
+        assert [line.split(":")[1].strip() for line in err[1:]] == [
+            "node 2 is STUCK on U0",
+            "node 3 is STUCK on U0",
+        ]
+        assert all("for a quorum of r-f=3" in line for line in err[1:])
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-m", "commitfsm", "simulate", "-r", "4", "--seeds", "2"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "single_update,4,none,0,PASS",
+        "single_update,4,none,1,PASS",
+    ]
 
 
 class TestBench:
