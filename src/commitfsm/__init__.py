@@ -28,14 +28,13 @@ from .engine import (
     bisimulation_oracle,
     enumerate_states,
     generate_reachable,
-    generate_state_machine,
     generate_transitions,
     generate_with_stats,
     merge_equivalent_once,
     minimize,
     prune_unreachable,
 )
-from .bft import BftParameters, RuleVariants, bft_spec, fault_tolerance, transition_rules
+from .bft import BftParameters, bft_spec, fault_tolerance, transition_rules
 from . import bft, render, sim
 
 __version__ = "0.1.0"
@@ -58,14 +57,12 @@ __all__ = [
     "bisimulation_oracle",
     "enumerate_states",
     "generate_reachable",
-    "generate_state_machine",
     "generate_transitions",
     "generate_with_stats",
     "merge_equivalent_once",
     "minimize",
     "prune_unreachable",
     "BftParameters",
-    "RuleVariants",
     "bft_spec",
     "fault_tolerance",
     "transition_rules",

@@ -14,20 +14,26 @@ successor state, with all control decisions taken at generation time.
 State vectors hold, in order: put_received, votes_received, vote_sent,
 commits_received, commit_sent, could_choose, has_chosen.
 
-Slot semantics under the default rule variants: a FREE message marks the
-next history slot as free and, when the update's put has arrived and the
-node has not voted, claims the slot (setting has_chosen, announcing "not
-free" to the peers, and voting); a NOT_FREE message voids the claim
-entirely, clearing both slot flags.  Both messages stop having any effect
-once the node has sent its commit, at which point the slot contention is
-settled for this run.  These readings were fixed by searching the variant
-ledger until the generated family reproduced the expected pruned and
-minimized state counts for every replication factor (see tests).
+The rules read the protocol sketch as follows where it leaves a detail open:
+
+- a put votes at once when the node has claimed the slot, when the slot is
+  free to claim, or when enough peers have already voted (P-a);
+- crossing the vote threshold votes whether or not the put has arrived (V-a);
+- a FREE message marks the next history slot as free, and claims it (setting
+  has_chosen, announcing "not free" to the peers and voting) only when the
+  update's put has arrived and the node has neither voted nor chosen (F-b);
+- a NOT_FREE message voids the claim entirely, clearing both slot flags (N-b);
+- FREE and NOT_FREE have no effect once the node has sent its commit, at
+  which point the slot contention is settled for this run (G-a).
+
+Each label names the chosen one of two readings of that detail.  A search
+over all 32 combinations at commit 90b9ad6 left F-a and F-b tied on the
+family's pruned and minimized state counts, with the other four readings
+as above, and the golden r = 4 transitions chose F-b.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import engine
@@ -37,7 +43,7 @@ from .fsm import (
     FINISH,
     ComponentSpec,
     StateMachine,
-    state_counts,
+    action_prose,
 )
 
 MESSAGES = ("PUT", "VOTE", "COMMIT", "FREE", "NOT_FREE")
@@ -82,62 +88,6 @@ class BftParameters:
         return self.fault_tolerance + 1
 
 
-@dataclass(frozen=True)
-class RuleVariants:
-    """Selectable readings for the rule details the protocol sketch leaves open.
-
-    put:
-      P-a  the first put votes at once when the slot is claimed or free, or
-           when the vote threshold is already met;
-      P-b  put only records the flag, voting happens via FREE/VOTE alone.
-    vote:
-      V-a  the threshold block votes regardless of put_received;
-      V-b  the threshold block votes only once put_received is set.
-    not_free:
-      N-a  clears could_choose only;
-      N-b  also clears has_chosen (the slot claim is void).
-    free_claim:
-      F-a  a free slot is claimed (has_chosen set, not-free announced) even
-           before the put arrives;
-      F-b  only an update whose put has arrived may claim.
-    slot_gate:
-      G-a  FREE and NOT_FREE have no effect once commit_sent is set;
-      G-b  they stay active for the whole run.
-    """
-
-    put: str = "P-a"
-    vote: str = "V-a"
-    not_free: str = "N-b"
-    free_claim: str = "F-b"
-    slot_gate: str = "G-a"
-
-    def __post_init__(self):
-        checks = (
-            ("put", ("P-a", "P-b")),
-            ("vote", ("V-a", "V-b")),
-            ("not_free", ("N-a", "N-b")),
-            ("free_claim", ("F-a", "F-b")),
-            ("slot_gate", ("G-a", "G-b")),
-        )
-        for field, allowed in checks:
-            if getattr(self, field) not in allowed:
-                raise ValueError(f"unknown {field} variant {getattr(self, field)!r}")
-
-
-# Frozen by brute-force search over ALL_VARIANTS: the only combination whose
-# generated family reproduces the reference pruned and minimized state counts
-# for every replication factor while matching the golden transitions of the
-# r=4 machine.  See tests/test_bft.py and tests/test_acceptance.py.
-DEFAULT_VARIANTS = RuleVariants()
-
-ALL_VARIANTS = tuple(
-    RuleVariants(put=p, vote=v, not_free=n, free_claim=fc, slot_gate=g)
-    for p, v, n, fc, g in itertools.product(
-        ("P-a", "P-b"), ("V-a", "V-b"), ("N-a", "N-b"), ("F-a", "F-b"), ("G-a", "G-b")
-    )
-)
-
-
 def components_for(r: int) -> tuple[ComponentSpec, ...]:
     """The seven state components; received-message counts are bounded by r - 1."""
     top = r - 1
@@ -172,7 +122,7 @@ def _canonical(actions: list[str]) -> tuple[str, ...]:
     return tuple(a for a in ACTIONS if a in actions)
 
 
-def on_vote(s: tuple, p: BftParameters, variant: str = "V-a") -> tuple:
+def on_vote(s: tuple, p: BftParameters) -> tuple:
     """Count a received vote; crossing the vote threshold votes and commits.
 
     The total vote count is votes_received plus the node's own vote.  When
@@ -186,8 +136,8 @@ def on_vote(s: tuple, p: BftParameters, variant: str = "V-a") -> tuple:
         return (), s
     votes += 1
     actions: list[str] = []
-    if votes + (1 if vsent else 0) >= p.vote_threshold:
-        if not vsent and (variant == "V-a" or put):
+    if votes + vsent >= p.vote_threshold:
+        if not vsent:
             if could and not chosen:
                 chosen = True
                 actions.append(SEND_NOT_FREE)
@@ -217,91 +167,73 @@ def on_commit(s: tuple, p: BftParameters) -> tuple:
     return (), (put, votes, vsent, commits, csent, could, chosen)
 
 
-def on_free(s: tuple, p: BftParameters, variants: RuleVariants = DEFAULT_VARIANTS) -> tuple:
+def on_free(s: tuple, p: BftParameters) -> tuple:
     """The next history slot is free: choose this update when there is one to vote for.
 
     Choosing sets has_chosen, announces "not free" to the peers and votes;
-    under the default variants the message is ignored once the node has sent
-    its commit.  A commit follows immediately when the total vote count
-    already meets the threshold.
+    the message is ignored once the node has sent its commit.  A commit
+    follows immediately when the total vote count already meets the
+    threshold.
     """
     put, votes, vsent, commits, csent, could, chosen = s
-    if variants.slot_gate == "G-a" and csent:
+    if csent:
         return (), s
     could = True
     actions: list[str] = []
-    if not vsent and not chosen and (put or variants.free_claim == "F-a"):
-        chosen = True
-        actions.append(SEND_NOT_FREE)
-        if put:
-            actions.append(SEND_VOTE)
-            vsent = True
-    if votes + (1 if vsent else 0) >= p.vote_threshold and not csent:
+    if put and not vsent and not chosen:
+        chosen = vsent = True
+        actions += (SEND_NOT_FREE, SEND_VOTE)
+    if votes + vsent >= p.vote_threshold:
         actions.append(SEND_COMMIT)
         csent = True
     return _canonical(actions), (put, votes, vsent, commits, csent, could, chosen)
 
 
-def on_put(s: tuple, p: BftParameters, variant: str = "P-a") -> tuple:
+def on_put(s: tuple, p: BftParameters) -> tuple:
     """Record the client's update; vote at once when the node already may.
 
-    A duplicate put has no effect.  Under the default variant the node votes
-    immediately if it has already claimed the slot, if the slot is free to
-    claim, or if enough peers have voted; a commit follows when the total
-    vote count meets the threshold.
+    A duplicate put has no effect.  The node votes immediately if it has
+    already claimed the slot, if the slot is free to claim, or if enough
+    peers have voted; a commit follows when the total vote count meets the
+    threshold.
     """
     put, votes, vsent, commits, csent, could, chosen = s
     if put:
         return (), s
     put = True
-    if variant == "P-b":
-        return (), (put, votes, vsent, commits, csent, could, chosen)
     actions: list[str] = []
-    if chosen and not vsent:
+    if not vsent and (chosen or could or votes >= p.vote_threshold):
+        if could and not chosen:
+            chosen = True
+            actions.append(SEND_NOT_FREE)
         actions.append(SEND_VOTE)
         vsent = True
-    elif could and not chosen and not vsent:
-        chosen = True
-        actions.append(SEND_NOT_FREE)
-        actions.append(SEND_VOTE)
-        vsent = True
-    elif not vsent and votes >= p.vote_threshold:
-        actions.append(SEND_VOTE)
-        vsent = True
-        could = False
-    if votes + (1 if vsent else 0) >= p.vote_threshold and not csent:
+    if votes + vsent >= p.vote_threshold and not csent:
         actions.append(SEND_COMMIT)
         csent = True
     return _canonical(actions), (put, votes, vsent, commits, csent, could, chosen)
 
 
-def on_not_free(
-    s: tuple, p: BftParameters, variants: RuleVariants = DEFAULT_VARIANTS
-) -> tuple:
+def on_not_free(s: tuple, p: BftParameters) -> tuple:
     """Another update claimed the slot: this one may not be chosen any more.
 
-    Under the default variants an existing claim is voided (has_chosen is
-    cleared) and the message is ignored once the node has sent its commit.
+    An existing claim is voided (has_chosen is cleared); the message is
+    ignored once the node has sent its commit.
     """
     put, votes, vsent, commits, csent, could, chosen = s
-    if variants.slot_gate == "G-a" and csent:
+    if csent:
         return (), s
-    could = False
-    if variants.not_free == "N-b":
-        chosen = False
-    return (), (put, votes, vsent, commits, csent, could, chosen)
+    return (), (put, votes, vsent, commits, csent, False, False)
 
 
-def transition_rules(
-    p: BftParameters, variants: RuleVariants = DEFAULT_VARIANTS
-) -> dict[str, engine.TransitionRule]:
+def transition_rules(p: BftParameters) -> dict[str, engine.TransitionRule]:
     """One pure rule per protocol message, closed over the thresholds."""
     return {
-        "PUT": lambda s: on_put(s, p, variants.put),
-        "VOTE": lambda s: on_vote(s, p, variants.vote),
+        "PUT": lambda s: on_put(s, p),
+        "VOTE": lambda s: on_vote(s, p),
         "COMMIT": lambda s: on_commit(s, p),
-        "FREE": lambda s: on_free(s, p, variants),
-        "NOT_FREE": lambda s: on_not_free(s, p, variants),
+        "FREE": lambda s: on_free(s, p),
+        "NOT_FREE": lambda s: on_not_free(s, p),
     }
 
 
@@ -364,12 +296,6 @@ def annotate(s: tuple, p: BftParameters) -> tuple[str, ...]:
     return tuple(lines)
 
 
-_ACTION_PROSE = {
-    SEND_VOTE: "send vote message",
-    SEND_COMMIT: "send commit message",
-    SEND_NOT_FREE: "send not free message",
-}
-
 FINISH_ANNOTATIONS = ("The protocol run has completed; the update is committed.",)
 
 
@@ -380,24 +306,24 @@ def annotate_transition(
     finishes = isinstance(succ, str) and succ == FINISH
     if finishes:
         if actions:
-            prose = ", ".join(_ACTION_PROSE[a] for a in actions)
+            prose = ", ".join(map(action_prose, actions))
             return (f"External commit threshold reached; {prose}; the run finishes.",)
         return ("External commit threshold reached; the run finishes.",)
     if succ == s:
         return ("No effect in this state.",)
     if actions:
-        prose = ", ".join(_ACTION_PROSE[a] for a in actions)
+        prose = ", ".join(map(action_prose, actions))
         return (f"Phase transition: {prose}.",)
     return ("Simple state transition; no threshold crossed.",)
 
 
-def raw_machine(r: int, variants: RuleVariants = DEFAULT_VARIANTS) -> StateMachine:
+def raw_machine(r: int) -> StateMachine:
     """The unpruned machine: every enumerated state with its transitions."""
     spec = bft_spec(r)
     p = BftParameters.for_replication_factor(r)
     return engine.generate_transitions(
         spec,
-        transition_rules(p, variants),
+        transition_rules(p),
         engine.enumerate_states(spec),
         annotate_state=lambda s: annotate(s, p),
         annotate_transition=annotate_transition,
@@ -405,44 +331,19 @@ def raw_machine(r: int, variants: RuleVariants = DEFAULT_VARIANTS) -> StateMachi
     )
 
 
-def generate_with_stats(
-    r: int, variants: RuleVariants = DEFAULT_VARIANTS
-) -> tuple[StateMachine, engine.StageStats]:
+def generate_with_stats(r: int) -> tuple[StateMachine, engine.StageStats]:
     """Full pipeline for replication factor r, with per-stage statistics."""
     spec = bft_spec(r)
     p = BftParameters.for_replication_factor(r)
     return engine.generate_with_stats(
         spec,
-        transition_rules(p, variants),
+        transition_rules(p),
         annotate_state=lambda s: annotate(s, p),
         annotate_transition=annotate_transition,
         finish_annotations=FINISH_ANNOTATIONS,
     )
 
 
-def generate(r: int, variants: RuleVariants = DEFAULT_VARIANTS) -> StateMachine:
+def generate(r: int) -> StateMachine:
     """The pruned and minimized machine for replication factor r."""
-    return generate_with_stats(r, variants)[0]
-
-
-def search_rule_variants(
-    rows: dict[int, tuple[int, int]], candidates: tuple[RuleVariants, ...] = ALL_VARIANTS
-) -> list[RuleVariants]:
-    """Variant combinations matching the expected state counts for every row.
-
-    rows maps a replication factor to (pruned count excluding the finish
-    state, minimized count including it).  Candidates failing the cheapest
-    row are discarded before the larger ones are generated.
-    """
-    matches = []
-    ordered = sorted(rows.items())
-    for variants in candidates:
-        ok = True
-        for r, (want_pruned, want_final) in ordered:
-            machine, stats = generate_with_stats(r, variants)
-            if stats.after_prune != want_pruned or state_counts(machine)[0] != want_final:
-                ok = False
-                break
-        if ok:
-            matches.append(variants)
-    return matches
+    return generate_with_stats(r)[0]

@@ -108,6 +108,9 @@ def _cmd_render(args) -> int:
     except render.OptionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except render.SourceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     if not _write(Path(args.output), artefact):
         return EXIT_FAILURE
     return EXIT_OK

@@ -570,25 +570,6 @@ def generate_with_stats(
     return machine, stats
 
 
-def generate_state_machine(
-    spec: MetaModelSpec,
-    rules: TransitionRuleSet,
-    *,
-    annotate_state: StateAnnotator | None = None,
-    annotate_transition: TransitionAnnotator | None = None,
-    finish_annotations: tuple[str, ...] = (),
-) -> StateMachine:
-    """The machine of generate_with_stats, without the statistics; deterministic."""
-    machine, _ = generate_with_stats(
-        spec,
-        rules,
-        annotate_state=annotate_state,
-        annotate_transition=annotate_transition,
-        finish_annotations=finish_annotations,
-    )
-    return machine
-
-
 def bisimulation_oracle(machine: StateMachine) -> tuple[frozenset[str], ...]:
     """Coarsest partition of states under action-and-destination bisimilarity.
 

@@ -179,6 +179,26 @@ class StateMachine:
             raise UnknownStateError(name) from None
 
 
+# The action alphabet's naming rule, stated once for every module: an action
+# SEND_X broadcasts message X to the peers, a generated module's ActionSink
+# performs it as send_x(), and prose calls it "send x message".  Any other
+# action broadcasts nothing and reads as its lower-cased words.
+def action_message(action: str) -> str | None:
+    """The message an action broadcasts (SEND_X sends X), or None."""
+    return action[5:] if action.startswith("SEND_") and action != "SEND_" else None
+
+
+def sink_method(action: str) -> str:
+    """The ActionSink method that performs an action: SEND_X is send_x."""
+    return action.lower()
+
+
+def action_prose(action: str) -> str:
+    """An action in words: SEND_NOT_FREE is "send not free message"."""
+    words = action.lower().replace("_", " ")
+    return words + " message" if action_message(action) else words
+
+
 def state_counts(machine: StateMachine) -> tuple[int, int]:
     """Return (total state count, count excluding the finish state)."""
     total = len(machine.states)

@@ -7,19 +7,7 @@ from __future__ import annotations
 import keyword
 from dataclasses import dataclass
 
-from .fsm import StateMachine
-
-_ACTION_PROSE = {
-    "SEND_VOTE": "send vote message",
-    "SEND_COMMIT": "send commit message",
-    "SEND_NOT_FREE": "send not free message",
-}
-
-_SINK_METHOD = {
-    "SEND_VOTE": "send_vote",
-    "SEND_COMMIT": "send_commit",
-    "SEND_NOT_FREE": "send_not_free",
-}
+from .fsm import StateMachine, action_prose, sink_method
 
 TEXT = "text"
 DOT = "dot"
@@ -29,6 +17,10 @@ FORMATS = (TEXT, DOT, SOURCE)
 
 class OptionError(ValueError):
     """Bad rendering options (unknown format, invalid module name)."""
+
+
+class SourceError(ValueError):
+    """An action whose sink method is no identifier, a keyword or already taken."""
 
 
 @dataclass(frozen=True)
@@ -52,10 +44,6 @@ def render(machine: StateMachine, options: RenderOptions) -> str:
     raise OptionError(f"unknown format {options.format!r}")
 
 
-def _action_prose(action: str) -> str:
-    return _ACTION_PROSE.get(action, action.lower().replace("_", " "))
-
-
 def render_text(machine: StateMachine, include_annotations: bool = True) -> str:
     """One annotated block per state, in sorted name order.
 
@@ -77,7 +65,7 @@ def render_text(machine: StateMachine, include_annotations: bool = True) -> str:
                     continue
                 lines.append(f"      message: {msg}")
                 for action in t.actions:
-                    lines.append(f"          action: {_action_prose(action)}")
+                    lines.append(f"          action: {action_prose(action)}")
                 lines.append(f"          transition to: {t.to}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
@@ -127,7 +115,8 @@ def render_source(
 ) -> str:
     """A self-contained Python module implementing the machine.
 
-    The module defines one constant per state, an ActionSink base class, a
+    The module defines one constant per state, an ActionSink base class
+    with one method per declared action (fsm.sink_method names it), a
     machine class with one receive_<message> handler performing exhaustive
     dispatch on the current state, and a create(sink) factory.  Actions are
     emitted through the sink; reaching the finish state calls on_finish.
@@ -135,6 +124,13 @@ def render_source(
     """
     if not module_name.isidentifier() or keyword.iskeyword(module_name):
         raise OptionError(f"invalid module name {module_name!r}")
+    methods = {}
+    for action in machine.actions:
+        method = sink_method(action)
+        if (not method.isidentifier() or keyword.iskeyword(method)
+                or method in ("on_finish", *methods.values())):
+            raise SourceError(f"action {action!r} cannot become the sink method {method!r}")
+        methods[action] = method
     cls = _class_name(module_name)
     names = sorted(machine.states)
     out = []
@@ -145,9 +141,8 @@ def render_source(
     w('"""\n\n')
     w("class ActionSink:\n")
     w('    """Receives the protocol actions; subclass and override as needed."""\n\n')
-    w("    def send_vote(self):\n        pass\n\n")
-    w("    def send_commit(self):\n        pass\n\n")
-    w("    def send_not_free(self):\n        pass\n\n")
+    for method in methods.values():
+        w(f"    def {method}(self):\n        pass\n\n")
     w("    def on_finish(self):\n        pass\n\n\n")
 
     for name in names:
@@ -200,7 +195,7 @@ def render_source(
                 w("            pass\n")
             else:
                 for action in t.actions:
-                    w(f"            self._sink.{_SINK_METHOD[action]}()\n")
+                    w(f"            self._sink.{methods[action]}()\n")
                 w(f"            self.set_state({state_constant(t.to)})\n")
                 if t.to == machine.finish_state:
                     w("            self._sink.on_finish()\n")

@@ -19,9 +19,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
-from .fsm import FINISH, StateMachine, step
+from .bft import ACTIONS
+from .fsm import FINISH, StateMachine, action_message, sink_method, step
 
 SILENT = "silent"
 CRASH = "crash"
@@ -42,12 +44,6 @@ CRASHED = "CRASHED"
 
 CLIENT = "client"
 CONTROLLER = "ctrl"
-
-# Network message kinds a Byzantine node may inject (FREE is controller-local).
-_WIRE_KINDS = ("PUT", "VOTE", "COMMIT", "NOT_FREE")
-# The machine actions that broadcast a message, and the kind they send.
-_WIRE_KIND_OF = {"SEND_VOTE": "VOTE", "SEND_COMMIT": "COMMIT", "SEND_NOT_FREE": "NOT_FREE"}
-
 
 class ConfigError(ValueError):
     """Simulation configuration inconsistent with the machine."""
@@ -266,6 +262,10 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
         else:
             byzantine.add(f.node)
 
+    # The actions that broadcast a message, and the message they send.
+    wire_of = {a: m for a in machine.actions if (m := action_message(a))}
+    # What a Byzantine node may forge: any message but the controller-local FREE.
+    forged = tuple(m for m in machine.messages if m != "FREE")
     names = [str(n) for n in range(r)]
     peers = [[p for p in range(r) if p != n] for n in range(r)]
     states = machine.states
@@ -356,13 +356,13 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
             if not actions or node in silent:
                 continue
             for action in actions:
-                wire = _WIRE_KIND_OF.get(action)
+                wire = wire_of.get(action)
                 if wire is None:
                     continue
                 name = names[node]
                 if node in byzantine:
                     for peer in peers[node]:
-                        put(name, peer, _WIRE_KINDS[_below(getrandbits, len(_WIRE_KINDS))],
+                        put(name, peer, forged[_below(getrandbits, len(forged))],
                             updates[_below(getrandbits, n_updates)])
                     injected += r - 1
                 else:
@@ -459,43 +459,52 @@ def check_quorum_safety(trace: SimTrace, vote_threshold: int, commit_threshold: 
     """Trace-level re-check of the commit thresholds for correct nodes.
 
     A correct node may emit SEND_COMMIT only when its total vote count (own
-    vote included) has reached the vote threshold or its received commit
-    count has reached the external commit threshold.
+    vote included) has reached the vote threshold or, on the commit that
+    finishes it, its received commit count has reached the external commit
+    threshold.  The counts are shadow counts per (node, update) of the VOTE
+    and COMMIT deliveries and of the node's own SEND_VOTE in the trace's
+    events, not values read from state names.
     """
     violations = []
-    for e in trace.events:
-        if e.receiver in trace.faulty or "SEND_COMMIT" not in e.actions:
+    faulty = trace.faulty
+    delivered: dict[tuple, int] = {}
+    voted: set[tuple] = set()
+    for step_no, _, node, message, update, _, after, actions in trace.events:
+        if node in faulty:
             continue
-        if e.state_after == FINISH:
-            commits_before = int(e.state_before.split("/")[3])
-            if e.message == "COMMIT" and commits_before + 1 >= commit_threshold:
+        key = (node, update, message)
+        delivered[key] = delivered.get(key, 0) + 1
+        if not actions:
+            continue
+        if "SEND_VOTE" in actions:
+            voted.add((node, update))
+        if "SEND_COMMIT" not in actions:
+            continue
+        if after == FINISH:
+            if message == "COMMIT" and delivered[key] >= commit_threshold:
                 continue
-            violations.append(f"step {e.step}: commit echo without threshold")
+            violations.append(f"step {step_no}: commit echo without threshold")
             continue
-        parts = e.state_after.split("/")
-        total = int(parts[1]) + (1 if parts[2] == "T" else 0)
+        total = delivered.get((node, update, "VOTE"), 0) + ((node, update) in voted)
         if total < vote_threshold:
             violations.append(
-                f"step {e.step}: SEND_COMMIT with total votes {total} < {vote_threshold}"
+                f"step {step_no}: SEND_COMMIT with total votes {total} < {vote_threshold}"
             )
     return violations
 
 
 class RecordingSink:
-    """Action sink that records emitted actions, for co-simulation."""
+    """Action sink that records emitted actions, for co-simulation.
 
-    def __init__(self):
+    It has the sink method (fsm.sink_method) of every action in ``actions``,
+    the protocol's by default; each appends its action to ``calls``.
+    """
+
+    def __init__(self, actions: tuple[str, ...] = ACTIONS):
         self.calls: list[str] = []
         self.finished = False
-
-    def send_vote(self):
-        self.calls.append("SEND_VOTE")
-
-    def send_commit(self):
-        self.calls.append("SEND_COMMIT")
-
-    def send_not_free(self):
-        self.calls.append("SEND_NOT_FREE")
+        for action in actions:
+            setattr(self, sink_method(action), partial(self.calls.append, action))
 
     def on_finish(self):
         self.finished = True
@@ -526,7 +535,7 @@ def co_simulate(machine: StateMachine, module, sequences) -> CoSimResult:
     """
     result = CoSimResult(ok=True, steps_checked=0)
     for seq_idx, sequence in enumerate(sequences):
-        sink = RecordingSink()
+        sink = RecordingSink(machine.actions)
         gen = module.create(sink)
         state = machine.start_state
         for step_idx, message in enumerate(sequence):

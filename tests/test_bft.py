@@ -2,11 +2,9 @@ import pytest
 
 from commitfsm import engine
 from commitfsm.bft import (
-    DEFAULT_VARIANTS,
     MESSAGES,
     BftParameters,
     ParameterError,
-    RuleVariants,
     annotate,
     bft_spec,
     components_for,
@@ -17,7 +15,6 @@ from commitfsm.bft import (
     on_not_free,
     on_put,
     on_vote,
-    search_rule_variants,
     transition_rules,
 )
 from commitfsm.fsm import FINISH, state_counts, state_name
@@ -266,26 +263,6 @@ class TestRuleProperties:
                     1 for i in (0, 1, 3) if succ[i] != s[i]
                 )
                 assert changed <= 1
-
-
-class TestVariantLedger:
-    def test_default_variants_are_the_frozen_match(self):
-        matches = search_rule_variants({4: (48, 33)})
-        assert DEFAULT_VARIANTS in matches
-        # the two surviving combinations differ only in whether an empty
-        # slot may be claimed before the put arrives; both generate
-        # identical state counts for the whole family
-        assert {(v.put, v.vote, v.not_free, v.slot_gate) for v in matches} == {
-            ("P-a", "V-a", "N-b", "G-a")
-        }
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            RuleVariants(put="P-z")
-
-    def test_non_default_variant_changes_counts(self):
-        _, stats = generate_with_stats(4, RuleVariants(slot_gate="G-b"))
-        assert (stats.after_prune, stats.final) != (48, 33)
 
 
 class TestGeneratedFamily:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -123,6 +124,44 @@ class TestRender:
         rc = main(["render", "-i", str(machine_doc), "--format", "source",
                    "-o", str(tmp_path / "x.py"), "--module-name", "9bad"])
         assert rc == 2
+
+    def test_renamed_action_renders_in_every_format(self, machine_doc, tmp_path):
+        # SEND_VOTE renamed to SEND_ECHO: a valid document whose actions are
+        # not the protocol's own names
+        doc = tmp_path / "echo.json"
+        doc.write_text(machine_doc.read_text().replace('"SEND_VOTE"', '"SEND_ECHO"'))
+        machine = deserialize(doc.read_text())
+        assert "SEND_ECHO" in machine.actions and "SEND_VOTE" not in machine.actions
+        for fmt, name in (("text", "echo.txt"), ("dot", "echo.dot"), ("source", "echo_machine.py")):
+            out = tmp_path / name
+            assert main(["render", "-i", str(doc), "--format", fmt, "-o", str(out)]) == 0
+        assert "action: send echo message" in (tmp_path / "echo.txt").read_text()
+        spec = importlib.util.spec_from_file_location("echo_machine", tmp_path / "echo_machine.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert hasattr(module.ActionSink, "send_echo")
+        assert not hasattr(module.ActionSink, "send_vote")
+        result = sim.co_simulate(machine, module, sim.random_sequences(machine, 200, 20, seed=3))
+        assert result.ok, result.divergences[:1]
+        sink = sim.RecordingSink(machine.actions)
+        echo = module.create(sink)
+        echo.set_state(module.S_T_2_F_0_F_F_F)
+        echo.receive("VOTE")
+        assert sink.calls == ["SEND_ECHO", "SEND_COMMIT"]
+
+    # send_commit takes the method SEND_COMMIT needs
+    @pytest.mark.parametrize("action", ["SEND-VOTE", "CLASS", "ON_FINISH", "send_commit"])
+    def test_action_without_a_method_name(self, machine_doc, tmp_path, capsys, action):
+        doc = tmp_path / "bad_action.json"
+        doc.write_text(machine_doc.read_text().replace('"SEND_VOTE"', f'"{action}"'))
+        for fmt in ("text", "dot"):
+            assert main(["render", "-i", str(doc), "--format", fmt,
+                         "-o", str(tmp_path / f"x.{fmt}")]) == 0
+        capsys.readouterr()
+        rc = main(["render", "-i", str(doc), "--format", "source", "-o", str(tmp_path / "x.py")])
+        assert rc == 1
+        assert repr(action) in _assert_one_error_line(capsys)
+        assert not (tmp_path / "x.py").exists()
 
 
 class TestSimulate:

@@ -11,7 +11,6 @@ from commitfsm.engine import (
     bisimulation_oracle,
     enumerate_states,
     generate_reachable,
-    generate_state_machine,
     generate_transitions,
     generate_with_stats,
     merge_equivalent_once,
@@ -486,10 +485,3 @@ class TestStats:
         assert stats.generate_s > 0 and stats.merge_s > 0
         assert abs(stats.generate_s + stats.merge_s - stats.millis / 1000) < 0.0011
 
-    def test_generate_state_machine_matches_stats_variant(self):
-        spec = bft.bft_spec(4)
-        p = bft.BftParameters.for_replication_factor(4)
-        rules = bft.transition_rules(p)
-        machine = generate_state_machine(spec, rules)
-        again, _ = generate_with_stats(spec, rules)
-        assert serialize(machine) == serialize(again)

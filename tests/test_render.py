@@ -1,8 +1,9 @@
+import hashlib
 import re
 
 import pytest
 
-from commitfsm import sim
+from commitfsm import bft, sim
 from commitfsm.fsm import FINISH, BOOLEAN, ComponentSpec, State, StateMachine, Transition
 from commitfsm.render import (
     OptionError,
@@ -14,6 +15,7 @@ from commitfsm.render import (
     state_constant,
 )
 from conftest import import_generated
+from test_fsm import tiny_machine
 
 GOLDEN_BLOCK = """state: T/2/F/0/F/F/F
 Have received initial put from client.
@@ -199,6 +201,17 @@ class TestSource:
     def test_deterministic(self, final4):
         assert render_source(final4) == render_source(final4)
 
+    def test_any_declared_action_becomes_a_sink_method(self, tmp_path):
+        machine = tiny_machine()
+        module = import_generated(machine, tmp_path, module_name="tiny_machine")
+        assert [m for m in vars(module.ActionSink) if not m.startswith("_")] == ["act", "on_finish"]
+        sink = sim.RecordingSink(machine.actions)
+        tiny = module.create(sink)
+        tiny.receive("GO")
+        assert sink.calls == ["ACT"] and tiny.get_state() == "B"
+        sequences = sim.random_sequences(machine, 50, 6, seed=1)
+        assert sim.co_simulate(machine, module, sequences).ok
+
 
 class TestDispatch:
     def test_render_options_dispatch(self, final4):
@@ -213,3 +226,28 @@ class TestDispatch:
     def test_module_name_shapes_class_name(self, final4, tmp_path):
         module = import_generated(final4, tmp_path, module_name="vote_machine")
         assert type(module.create(sim.RecordingSink())).__name__ == "VoteMachine"
+
+
+# SHA-256 of each renderer's output for the r = 4 and r = 7 machines: a
+# refactor must leave every rendered artefact of the family byte-identical.
+RENDER_SHA256 = {
+    (4, "text"): "ddddd050b060ae1d0c610c5cd45dac7b5bf4fb9eebf014c406030617fb4ae0d9",
+    (4, "dot"): "d3a5cf320d66782344419f8d7ca578dbace8316b5981bb64b6f8e9e871f83ecb",
+    (4, "source"): "874101c5c2444dd172cf7eeeda3093d3fc532ee2de50f144592f1040b16dc0e9",
+    (7, "text"): "85600214f097eba7b4ce23445aefc5433fa9342848d4b19891c6e15b09c71c74",
+    (7, "dot"): "81db5a67b031758dfab010d7f59179b5190b0a313f71543c5c403a0272b55bb0",
+    (7, "source"): "8a284712e088985b43b20b41349363fba968b1bdb4b8f42bc8aae8b035df5dd5",
+}
+# Size of the r = 46 module; the codegen benchmark pins the same figure.
+MODULE_BYTES_R46 = 3674447
+
+
+class TestPinnedArtefacts:
+    @pytest.mark.parametrize("r,fmt", sorted(RENDER_SHA256))
+    def test_render_digest(self, r, fmt, final4, final7):
+        machine = {4: final4, 7: final7}[r]
+        text = render(machine, RenderOptions(format=fmt))
+        assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256[r, fmt]
+
+    def test_r46_module_size(self):
+        assert len(render_source(bft.generate(46)).encode()) == MODULE_BYTES_R46

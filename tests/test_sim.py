@@ -5,8 +5,8 @@ import pytest
 
 import trace_digest
 from commitfsm import bft
+from commitfsm.fsm import action_message
 from commitfsm.sim import (
-    _WIRE_KIND_OF,
     BYZANTINE,
     CONCURRENT_UPDATES,
     CRASH,
@@ -133,6 +133,24 @@ class TestRunSimulation:
                 trace, params4.vote_threshold, params4.commit_threshold
             ) == []
 
+    def test_quorum_check_counts_deliveries_not_state_names(self, final4, params4):
+        # drop the VOTE deliveries that led a correct node to its commit: the
+        # state names still claim the votes, the trace no longer shows them
+        trace = run_simulation(final4, SimConfig(replication_factor=4, seed=0))
+        commit = next(
+            e for e in trace.events if "SEND_COMMIT" in e.actions and e.state_after != FINISH
+        )
+        doctored = dataclasses.replace(trace, events=tuple(
+            e for e in trace.events
+            if not (e.receiver == commit.receiver and e.message == "VOTE" and e.step < commit.step)
+        ))
+        thresholds = (params4.vote_threshold, params4.commit_threshold)
+        assert check_quorum_safety(trace, *thresholds) == []
+        # left: the VOTE delivered at the commit step and the node's own vote
+        assert check_quorum_safety(doctored, *thresholds) == [
+            f"step {commit.step}: SEND_COMMIT with total votes 2 < 3"
+        ]
+
     def test_concurrent_updates_agree_on_order(self, final4):
         for seed in range(10):
             cfg = SimConfig(replication_factor=4, seed=seed, scenario=CONCURRENT_UPDATES)
@@ -226,7 +244,7 @@ class TestCounters:
             per_node = {}
             for e in trace.events:
                 if kinds.get(e.receiver) != SILENT:
-                    wire = sum(a in _WIRE_KIND_OF for a in e.actions)
+                    wire = sum(action_message(a) is not None for a in e.actions)
                     per_node[e.receiver] = per_node.get(e.receiver, 0) + wire
             peers = config.replication_factor - 1
             byzantine = sum(v for n, v in per_node.items() if kinds.get(n) == BYZANTINE)
