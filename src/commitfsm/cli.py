@@ -48,29 +48,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="state counts and generation times per fault tolerance")
     ben.add_argument("--f", default="1,2,4,8,15", help="comma-separated fault tolerances")
-    ben.add_argument("--format", choices=("csv",), default="csv")
     return parser
 
 
 def _write(path: Path, text: str) -> bool:
-    """Write text to path; on failure print one error line and return False."""
+    """Write text to path as UTF-8; on failure print one error line and return False."""
     try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
+        path.write_bytes(text.encode("utf-8"))
+    except (OSError, UnicodeEncodeError) as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return False
     return True
 
 
 def _cmd_generate(args) -> int:
-    r = args.replication_factor
-    if r < bft.MIN_REPLICATION_FACTOR:
-        print(
-            f"error: minimum replication factor is {bft.MIN_REPLICATION_FACTOR} (got {r})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    machine, stats = bft.generate_with_stats(r)
+    machine, stats = bft.generate_with_stats(args.replication_factor)
     diags = validate(machine)
     if diags:
         for d in diags:
@@ -98,13 +90,14 @@ def _cmd_render(args) -> int:
         for d in diags:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_FAILURE
-    options = render.RenderOptions(
-        format=args.format,
-        include_annotations=not args.no_annotations,
-        source_module_name=args.module_name,
-    )
+    annotate = not args.no_annotations
     try:
-        artefact = render.render(machine, options)
+        if args.format == render.TEXT:
+            artefact = render.render_text(machine, annotate)
+        elif args.format == render.DOT:
+            artefact = render.render_dot(machine)
+        else:
+            artefact = render.render_source(machine, args.module_name, annotate)
     except render.OptionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -116,43 +109,26 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _fault_plan(args) -> tuple[sim.Fault, ...]:
-    faults = []
-    node = 0
-    for count, kind in (
-        (args.silent, sim.SILENT),
-        (args.crash, sim.CRASH),
-        (args.byzantine, sim.BYZANTINE),
-    ):
-        for _ in range(count):
-            faults.append(sim.Fault(node, kind))
-            node += 1
-    return tuple(faults)
+# Each fault flag and the kind of node it adds; nodes are numbered in this order.
+_FAULT_FLAGS = (("silent", sim.SILENT), ("crash", sim.CRASH), ("byzantine", sim.BYZANTINE))
 
 
-def _fault_label(args) -> str:
-    parts = []
-    for count, kind in ((args.silent, "silent"), (args.crash, "crash"), (args.byzantine, "byzantine")):
-        if count:
-            parts.append(f"{kind}={count}")
-    return "|".join(parts) if parts else "none"
+def _fault_plan(args) -> tuple[tuple[sim.Fault, ...], str]:
+    """The fault plan the flags ask for, and its CSV label such as "silent=1|crash=2"."""
+    counts = [(flag, kind, getattr(args, flag)) for flag, kind in _FAULT_FLAGS]
+    kinds = [kind for _, kind, count in counts for _ in range(count)]
+    label = "|".join(f"{flag}={count}" for flag, _, count in counts if count)
+    return tuple(sim.Fault(node, kind) for node, kind in enumerate(kinds)), label or "none"
 
 
 def _cmd_simulate(args) -> int:
     r = args.replication_factor
-    if r < bft.MIN_REPLICATION_FACTOR:
-        print(
-            f"error: minimum replication factor is {bft.MIN_REPLICATION_FACTOR} (got {r})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     total_faults = args.silent + args.crash + args.byzantine
     if min(args.silent, args.crash, args.byzantine, args.seeds) < 0 or total_faults >= r:
         print("error: fault counts must be non-negative and total fewer than r", file=sys.stderr)
         return EXIT_USAGE
     machine = bft.generate(r)
-    faults = _fault_plan(args)
-    label = _fault_label(args)
+    faults, label = _fault_plan(args)
     trace_dir = Path(args.trace_dir) if args.trace_dir else None
     if trace_dir:
         try:
@@ -224,7 +200,11 @@ def main(argv=None) -> int:
         "simulate": _cmd_simulate,
         "bench": _cmd_bench,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except bft.ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -269,7 +269,7 @@ def generate_reachable(
 
 def prune_unreachable(machine: StateMachine) -> StateMachine:
     """Drop every state not reachable from the start state by forward traversal."""
-    reachable = reachable_names(machine)
+    reachable = set(reachable_names(machine))
     if len(reachable) == len(machine.states):
         return machine
     states = {n: s for n, s in machine.states.items() if n in reachable}
@@ -281,40 +281,14 @@ _SELF = object()
 
 
 def _traversal_order(machine: StateMachine) -> dict[str, int]:
-    """Breadth-first discovery index from the start state, messages in declared order.
+    """Rank of each state: reachable_names' breadth-first order from the start.
 
     States unreachable from the start (possible on a not-yet-pruned machine)
-    are appended afterwards in name order, so the result is total and
-    deterministic.
+    rank afterwards in name order, so the result is total and deterministic.
     """
-    states = machine.states
-    order: dict[str, int] = {}
-    if machine.start_state in states:
-        order[machine.start_state] = 0
-        queue = [machine.start_state]
-        i = 0
-        while i < len(queue):
-            st = states[queue[i]]
-            i += 1
-            for msg in machine.messages:
-                t = st.transitions.get(msg)
-                if t is not None and t.to in states and t.to not in order:
-                    order[t.to] = len(order)
-                    queue.append(t.to)
-    for name in sorted(states):
-        if name not in order:
-            order[name] = len(order)
-    return order
-
-
-def _dedup(lines) -> tuple[str, ...]:
-    seen = set()
-    out = []
-    for line in lines:
-        if line not in seen:
-            seen.add(line)
-            out.append(line)
-    return tuple(out)
+    reached = reachable_names(machine)
+    order = reached + sorted(machine.states.keys() - set(reached))
+    return {name: i for i, name in enumerate(order)}
 
 
 def merge_equivalent_once(machine: StateMachine) -> tuple[StateMachine, bool]:
@@ -363,11 +337,9 @@ def merge_equivalent_once(machine: StateMachine) -> tuple[StateMachine, bool]:
             new_states[name] = st
             continue
         if name in class_of:
-            annotations = _dedup(
-                line
-                for member in class_of[name]
-                for line in machine.states[member].annotations
-            )
+            annotations = tuple(dict.fromkeys(
+                line for member in class_of[name] for line in machine.states[member].annotations
+            ))
         else:
             annotations = st.annotations
         transitions: dict[str, Transition] = {}
@@ -445,9 +417,7 @@ def _merge_rounds(machine: StateMachine) -> tuple[StateMachine, tuple[int, ...]]
                 continue
             ordered = sorted(members, key=rank.__getitem__)
             rep = ordered[0]
-            annotations[rep] = _dedup(
-                line for member in ordered for line in annotations[member]
-            )
+            annotations[rep] = tuple(dict.fromkeys(line for m in ordered for line in annotations[m]))
             for member in ordered[1:]:
                 rename[member] = rep
             groups[sig] = {rep}

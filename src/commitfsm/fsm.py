@@ -172,12 +172,6 @@ class StateMachine:
     start_state: str
     finish_state: str = FINISH
 
-    def state(self, name: str) -> State:
-        try:
-            return self.states[name]
-        except KeyError:
-            raise UnknownStateError(name) from None
-
 
 # The action alphabet's naming rule, stated once for every module: an action
 # SEND_X broadcasts message X to the peers, a generated module's ActionSink
@@ -223,20 +217,26 @@ def step(machine: StateMachine, state: str, message: str) -> tuple[tuple[str, ..
     return t.actions, t.to
 
 
-def reachable_names(machine: StateMachine) -> set[str]:
-    """Names of all states reachable from the start state (start included)."""
+def reachable_names(machine: StateMachine) -> list[str]:
+    """Names of the states reachable from the start state, in breadth-first order.
+
+    The start state comes first, and each state's transitions are followed
+    in declared message order (a transition on an undeclared message is
+    not).  Empty when the start state is missing.
+    """
     states = machine.states
     if machine.start_state not in states:
-        return set()
-    seen = {machine.start_state}
-    frontier = [machine.start_state]
-    while frontier:
-        name = frontier.pop()
-        for t in states[name].transitions.values():
-            if t.to in states and t.to not in seen:
+        return []
+    order = [machine.start_state]
+    seen = set(order)
+    for name in order:  # appended to while it is read
+        transitions = states[name].transitions
+        for msg in machine.messages:
+            t = transitions.get(msg)
+            if t is not None and t.to in states and t.to not in seen:
                 seen.add(t.to)
-                frontier.append(t.to)
-    return seen
+                order.append(t.to)
+    return order
 
 
 def validate(machine: StateMachine) -> list[str]:
@@ -283,7 +283,7 @@ def validate(machine: StateMachine) -> list[str]:
                         f"message {t.message!r}"
                     )
     if machine.start_state in states and fin is not None:
-        if finish not in reachable_names(machine):
+        if finish not in set(reachable_names(machine)):
             diags.append(f"finish state {finish!r} unreachable from the start state")
     return diags
 
@@ -425,6 +425,8 @@ def deserialize(text: str) -> StateMachine:
         raise DocumentParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise DocumentParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentValidationError("document: top level must be an object")
     _check_keys(doc, _TOP_KEYS, "document")

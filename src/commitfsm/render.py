@@ -5,7 +5,7 @@ and a runnable Python module implementing the same protocol.
 from __future__ import annotations
 
 import keyword
-from dataclasses import dataclass
+import unicodedata
 
 from .fsm import StateMachine, action_prose, sink_method
 
@@ -16,32 +16,11 @@ FORMATS = (TEXT, DOT, SOURCE)
 
 
 class OptionError(ValueError):
-    """Bad rendering options (unknown format, invalid module name)."""
+    """An invalid module name for render_source."""
 
 
 class SourceError(ValueError):
-    """An action whose sink method is no identifier, a keyword or already taken."""
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    format: str = TEXT
-    include_annotations: bool = True
-    source_module_name: str = "commit_machine"
-
-
-def render(machine: StateMachine, options: RenderOptions) -> str:
-    if options.format == TEXT:
-        return render_text(machine, include_annotations=options.include_annotations)
-    if options.format == DOT:
-        return render_dot(machine)
-    if options.format == SOURCE:
-        return render_source(
-            machine,
-            module_name=options.source_module_name,
-            include_annotations=options.include_annotations,
-        )
-    raise OptionError(f"unknown format {options.format!r}")
+    """A machine name that cannot become a distinct identifier of the generated module."""
 
 
 def render_text(machine: StateMachine, include_annotations: bool = True) -> str:
@@ -104,6 +83,22 @@ def state_constant(name: str) -> str:
     return "S_" + name.replace("/", "_")
 
 
+def _identifiers(kind: str, names, make, what: str, taken=()) -> dict[str, str]:
+    """Map each name to make(name), or raise SourceError if that is no identifier,
+    is a keyword or is taken (Python reads identifiers in NFKC form).
+    """
+    out = {}
+    used = set(taken)
+    for name in names:
+        ident = make(name)
+        key = unicodedata.normalize("NFKC", ident)
+        if not ident.isidentifier() or keyword.iskeyword(key) or key in used:
+            raise SourceError(f"{kind} {name!r} cannot become {what} {ident!r}")
+        used.add(key)
+        out[name] = ident
+    return out
+
+
 def _class_name(module_name: str) -> str:
     return "".join(part.capitalize() for part in module_name.split("_")) or "Machine"
 
@@ -120,19 +115,18 @@ def render_source(
     machine class with one receive_<message> handler performing exhaustive
     dispatch on the current state, and a create(sink) factory.  Actions are
     emitted through the sink; reaching the finish state calls on_finish.
-    State and transition commentary is included as comments.
+    State and transition commentary is included as comments.  A name that
+    cannot become its identifier of the module raises SourceError.
     """
     if not module_name.isidentifier() or keyword.iskeyword(module_name):
         raise OptionError(f"invalid module name {module_name!r}")
-    methods = {}
-    for action in machine.actions:
-        method = sink_method(action)
-        if (not method.isidentifier() or keyword.iskeyword(method)
-                or method in ("on_finish", *methods.values())):
-            raise SourceError(f"action {action!r} cannot become the sink method {method!r}")
-        methods[action] = method
-    cls = _class_name(module_name)
+    methods = _identifiers("action", machine.actions, sink_method, "the sink method",
+                           ("on_finish",))
+    handlers = _identifiers("message", machine.messages, lambda m: f"receive_{m.lower()}",
+                            "the handler")
     names = sorted(machine.states)
+    consts = _identifiers("state", names, state_constant, "the constant")
+    cls = _class_name(module_name)
     out = []
     w = out.append
     w('"""Generated state machine for a replicated commit protocol '
@@ -149,15 +143,15 @@ def render_source(
         if include_annotations:
             for line in machine.states[name].annotations:
                 w(f"# {line}\n")
-        w(f'{state_constant(name)} = "{name}"\n')
+        w(f'{consts[name]} = "{name}"\n')
     w("\n")
     w("STATES = (\n")
     for name in names:
-        w(f"    {state_constant(name)},\n")
+        w(f"    {consts[name]},\n")
     w(")\n")
     w(f"MESSAGES = {tuple(machine.messages)!r}\n")
-    w(f"START_STATE = {state_constant(machine.start_state)}\n")
-    w(f"FINISH_STATE = {state_constant(machine.finish_state)}\n")
+    w(f"START_STATE = {consts[machine.start_state]}\n")
+    w(f"FINISH_STATE = {consts[machine.finish_state]}\n")
     w("_STATE_SET = frozenset(STATES)\n\n\n")
 
     w(f"class {cls}:\n")
@@ -178,7 +172,7 @@ def render_source(
     w("        handler(self)\n\n")
 
     for msg in machine.messages:
-        w(f"    def receive_{msg.lower()}(self):\n")
+        w(f"    def {handlers[msg]}(self):\n")
         w("        state = self._state\n")
         first = True
         for name in names:
@@ -187,7 +181,7 @@ def render_source(
             t = machine.states[name].transitions[msg]
             kw = "if" if first else "elif"
             first = False
-            w(f"        {kw} state == {state_constant(name)}:\n")
+            w(f"        {kw} state == {consts[name]}:\n")
             if include_annotations and t.annotations:
                 for line in t.annotations:
                     w(f"            # {line}\n")
@@ -196,17 +190,17 @@ def render_source(
             else:
                 for action in t.actions:
                     w(f"            self._sink.{methods[action]}()\n")
-                w(f"            self.set_state({state_constant(t.to)})\n")
+                w(f"            self.set_state({consts[t.to]})\n")
                 if t.to == machine.finish_state:
                     w("            self._sink.on_finish()\n")
-        w(f"        elif state == {state_constant(machine.finish_state)}:\n")
+        w(f"        elif state == {consts[machine.finish_state]}:\n")
         w('            raise RuntimeError("machine already finished")\n')
         w("        else:\n")
         w('            raise ValueError("unknown state: %r" % (state,))\n\n')
 
     w("    _HANDLERS = {\n")
     for msg in machine.messages:
-        w(f'        "{msg}": receive_{msg.lower()},\n')
+        w(f'        "{msg}": {handlers[msg]},\n')
     w("    }\n\n\n")
     w("def create(sink):\n")
     w('    """Return a fresh machine wired to the given action sink."""\n')

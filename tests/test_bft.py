@@ -1,6 +1,7 @@
 import pytest
 
 from commitfsm import engine
+from commitfsm.engine import bisimulation_oracle
 from commitfsm.bft import (
     MESSAGES,
     BftParameters,
@@ -276,3 +277,15 @@ class TestGeneratedFamily:
         machine, stats = generate_with_stats(7)
         assert stats.initial == 1568
         assert state_counts(machine)[0] == 85
+
+    # Every count of the family is a polynomial in r and f; the merge
+    # representatives, and so the pass count, follow the traversal order.
+    @pytest.mark.parametrize("r", range(4, 23))
+    def test_closed_form_counts(self, r):
+        f = (r - 1) // 3
+        machine, stats = generate_with_stats(r)
+        assert stats.after_prune == 6 * r * (f + 1)
+        assert stats.final == (2 * f + 1) * (6 * f + 5) + 5 * (f + 1) * (r - 3 * f - 1)
+        assert stats.passes == r + f + 1
+        classes = 8 * f * f + 12 * f + 5 + 4 * (f + 1) * (r - 3 * f - 1)
+        assert len(bisimulation_oracle(machine)) == classes

@@ -1,5 +1,7 @@
+import functools
 import importlib.util
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -46,7 +48,7 @@ class TestGenerate:
     def test_minimum_replication_factor(self, tmp_path, capsys):
         rc = main(["generate", "-r", "3", "-o", str(tmp_path / "m3.json")])
         assert rc == 2
-        assert "4" in capsys.readouterr().err
+        assert "at least 4" in _assert_one_error_line(capsys)
 
     def test_byte_identical_documents(self, tmp_path):
         a = tmp_path / "a.json"
@@ -163,6 +165,76 @@ class TestRender:
         assert repr(action) in _assert_one_error_line(capsys)
         assert not (tmp_path / "x.py").exists()
 
+    # names the generated module cannot hold: the renamed name, then the one
+    # the error names (a collision names the second of the two)
+    @pytest.mark.parametrize("old,new,named", [
+        ("NOT_FREE", "NOT-FREE", "NOT-FREE"),
+        ("PUT", "vote", "VOTE"),
+        ("F/0/F/0/F/F/F", "F 0", "F 0"),
+        ("F/1/F/0/F/F/F", "F_0_F_0_F_F_F", "F_0_F_0_F_F_F"),
+        ("F/1/F/0/F/F/F", "F_0_F_0_F_F_\uff26", "F_0_F_0_F_F_\uff26"),
+    ])
+    def test_name_without_an_identifier(self, machine_doc, tmp_path, capsys, old, new, named):
+        doc = tmp_path / "bad_name.json"
+        doc.write_text(machine_doc.read_text().replace(f'"{old}"', json.dumps(new)))
+        for fmt in ("text", "dot"):
+            assert main(["render", "-i", str(doc), "--format", fmt,
+                         "-o", str(tmp_path / f"x.{fmt}")]) == 0
+        capsys.readouterr()
+        rc = main(["render", "-i", str(doc), "--format", "source", "-o", str(tmp_path / "x.py")])
+        assert rc == 1
+        assert repr(named) in _assert_one_error_line(capsys)
+        assert not (tmp_path / "x.py").exists()
+
+    # each malformed shape that deserialize rejects: the path into the r = 4
+    # document and the value put there (the empty path replaces the document)
+    @pytest.mark.parametrize("path,value", [
+        (("components", 1, "name"), "put_received"),
+        (("components", 0, "max"), 1),
+        (("components", 1, "max"), -1),
+        (("replication_factor",), True),
+        (("start_state",), 5),
+        (("messages", 0), 1),
+        ((), []),
+        (("components", 0), 1),
+        (("states", 0), "F/0/F/0/F/F/F"),
+        (("states", 0, "transitions", 0), []),
+    ], ids=[
+        "duplicate-component", "boolean-with-max", "negative-max", "bool-for-int",
+        "int-for-str", "int-in-list", "top-level-list", "component-not-object",
+        "state-not-object", "transition-not-object",
+    ])
+    def test_malformed_document(self, machine_doc, tmp_path, capsys, path, value):
+        doc = json.loads(machine_doc.read_text())
+        if path:
+            *keys, last = path
+            functools.reduce(operator.getitem, keys, doc)[last] = value
+        else:
+            doc = value
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["render", "-i", str(bad), "--format", "text", "-o", str(tmp_path / "x")])
+        assert rc == 1
+        assert "invalid machine document" in _assert_one_error_line(capsys)
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        rc = main(["render", "-i", str(bad), "--format", "text", "-o", str(tmp_path / "x")])
+        assert rc == 1
+        assert "nested too deeply" in _assert_one_error_line(capsys)
+
+    def test_unencodable_name(self, machine_doc, tmp_path, capsys):
+        # a lone surrogate is valid JSON, but no UTF-8 file can hold it
+        doc = tmp_path / "surrogate.json"
+        doc.write_text(machine_doc.read_text().replace('"F/0/F/0/F/F/F"', '"\\ud800"'))
+        out = tmp_path / "x.txt"
+        rc = main(["render", "-i", str(doc), "--format", "text", "-o", str(out)])
+        assert rc == 1
+        assert "cannot write" in _assert_one_error_line(capsys)
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_tolerated_fault_sweep(self, capsys):
@@ -207,6 +279,7 @@ class TestSimulate:
 
     def test_small_cluster_rejected(self, capsys):
         assert main(["simulate", "-r", "2", "--seeds", "1"]) == 2
+        assert "at least 4" in _assert_one_error_line(capsys)
 
     def test_failing_run_names_the_missing_quorums(self, tmp_path, capsys, monkeypatch):
         # two silent nodes at r = 4 exceed the fault budget, so the run

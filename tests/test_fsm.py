@@ -19,6 +19,7 @@ from commitfsm.fsm import (
     UnknownStateError,
     deserialize,
     parse_state_name,
+    reachable_names,
     serialize,
     state_counts,
     state_name,
@@ -183,6 +184,16 @@ class TestValidate:
         m = tiny_machine()
         m.states["B"].transitions["GO"] = Transition("GO", (), "B")
         assert any("unreachable" in d for d in validate(m))
+
+    def test_undeclared_message_reaches_nothing(self):
+        # the walk follows declared messages only, breadth-first
+        m = tiny_machine()
+        m.states["B"].transitions["GO"] = Transition("GO", (), "B")
+        m.states["B"].transitions["JUMP"] = Transition("JUMP", (), FINISH)
+        assert reachable_names(m) == ["A", "B"]
+        diags = validate(m)
+        assert any("undeclared message 'JUMP'" in d for d in diags)
+        assert any("unreachable" in d for d in diags)
 
 
 class TestSerialize:

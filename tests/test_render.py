@@ -7,8 +7,6 @@ from commitfsm import bft, sim
 from commitfsm.fsm import FINISH, BOOLEAN, ComponentSpec, State, StateMachine, Transition
 from commitfsm.render import (
     OptionError,
-    RenderOptions,
-    render,
     render_dot,
     render_source,
     render_text,
@@ -214,15 +212,6 @@ class TestSource:
 
 
 class TestDispatch:
-    def test_render_options_dispatch(self, final4):
-        assert render(final4, RenderOptions(format="text")) == render_text(final4)
-        assert render(final4, RenderOptions(format="dot")) == render_dot(final4)
-        assert render(final4, RenderOptions(format="source")).startswith('"""')
-
-    def test_unknown_format(self, final4):
-        with pytest.raises(OptionError):
-            render(final4, RenderOptions(format="svg"))
-
     def test_module_name_shapes_class_name(self, final4, tmp_path):
         module = import_generated(final4, tmp_path, module_name="vote_machine")
         assert type(module.create(sim.RecordingSink())).__name__ == "VoteMachine"
@@ -246,7 +235,7 @@ class TestPinnedArtefacts:
     @pytest.mark.parametrize("r,fmt", sorted(RENDER_SHA256))
     def test_render_digest(self, r, fmt, final4, final7):
         machine = {4: final4, 7: final7}[r]
-        text = render(machine, RenderOptions(format=fmt))
+        text = {"text": render_text, "dot": render_dot, "source": render_source}[fmt](machine)
         assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256[r, fmt]
 
     def test_r46_module_size(self):

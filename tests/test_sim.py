@@ -5,7 +5,7 @@ import pytest
 
 import trace_digest
 from commitfsm import bft
-from commitfsm.fsm import action_message
+from commitfsm.fsm import UnknownStateError, action_message
 from commitfsm.sim import (
     BYZANTINE,
     CONCURRENT_UPDATES,
@@ -56,6 +56,11 @@ class TestConfig:
     def test_unknown_fault_kind(self):
         with pytest.raises(ConfigError):
             Fault(0, "sleepy")
+
+    @pytest.mark.parametrize("field", ["scenario", "delivery"])
+    def test_unknown_scenario_or_delivery_mode(self, field):
+        with pytest.raises(ConfigError, match=f"unknown {field}"):
+            SimConfig(replication_factor=4, seed=0, **{field: "sideways"})
 
     def test_scenario_updates(self):
         assert SimConfig(4, 0).updates == ("U0",)
@@ -150,6 +155,31 @@ class TestRunSimulation:
         assert check_quorum_safety(doctored, *thresholds) == [
             f"step {commit.step}: SEND_COMMIT with total votes 2 < 3"
         ]
+
+    def test_finishing_echo_needs_the_commit_threshold(self, final4, params4):
+        # seed 0 has a node finish on a COMMIT with a SEND_COMMIT echo; drop
+        # its earlier COMMIT deliveries and the echo lacks f + 1 commits
+        trace = run_simulation(final4, SimConfig(replication_factor=4, seed=0))
+        echo = next(
+            e for e in trace.events if "SEND_COMMIT" in e.actions and e.state_after == FINISH
+        )
+        doctored = dataclasses.replace(trace, events=tuple(
+            e for e in trace.events
+            if not (e.receiver == echo.receiver and e.message == "COMMIT" and e.step < echo.step)
+        ))
+        thresholds = (params4.vote_threshold, params4.commit_threshold)
+        assert check_quorum_safety(trace, *thresholds) == []
+        assert check_quorum_safety(doctored, *thresholds) == [
+            f"step {echo.step}: commit echo without threshold"
+        ]
+
+    def test_dangling_destination_raises_the_interpreters_error(self, final4):
+        start = final4.states[final4.start_state]
+        put = start.transitions["PUT"]._replace(to="NOWHERE")
+        states = {**final4.states, start.name: start._replace(
+            transitions={**start.transitions, "PUT": put})}
+        with pytest.raises(UnknownStateError, match="NOWHERE"):
+            run_simulation(dataclasses.replace(final4, states=states), SimConfig(4, 0))
 
     def test_concurrent_updates_agree_on_order(self, final4):
         for seed in range(10):
