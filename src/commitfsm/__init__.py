@@ -25,7 +25,6 @@ from .fsm import (
 from .engine import (
     MetaModelSpec,
     StageStats,
-    bisimulation_oracle,
     enumerate_states,
     generate_reachable,
     generate_transitions,
@@ -54,7 +53,6 @@ __all__ = [
     "validate",
     "MetaModelSpec",
     "StageStats",
-    "bisimulation_oracle",
     "enumerate_states",
     "generate_reachable",
     "generate_transitions",

@@ -317,20 +317,6 @@ def annotate_transition(
     return ("Simple state transition; no threshold crossed.",)
 
 
-def raw_machine(r: int) -> StateMachine:
-    """The unpruned machine: every enumerated state with its transitions."""
-    spec = bft_spec(r)
-    p = BftParameters.for_replication_factor(r)
-    return engine.generate_transitions(
-        spec,
-        transition_rules(p),
-        engine.enumerate_states(spec),
-        annotate_state=lambda s: annotate(s, p),
-        annotate_transition=annotate_transition,
-        finish_annotations=FINISH_ANNOTATIONS,
-    )
-
-
 def generate_with_stats(r: int) -> tuple[StateMachine, engine.StageStats]:
     """Full pipeline for replication factor r, with per-stage statistics."""
     spec = bft_spec(r)

@@ -150,16 +150,12 @@ def _cmd_simulate(args) -> int:
         trace = sim.run_simulation(machine, config)
         verdict = sim.check_agreement(trace, config)
         print(f"{args.scenario},{r},{label},{seed},{verdict}")
-        path = None
-        if trace_dir:
-            path = trace_dir / f"trace-{args.scenario}-r{r}-seed{seed}.txt"
-            if not _write(path, trace.serialize()):
-                return EXIT_FAILURE
-        if not verdict.ok and first_failure is None:
-            if path is None:
-                path = Path(f"trace-{args.scenario}-r{r}-seed{seed}.txt")
-                if not _write(path, trace.serialize()):
-                    return EXIT_FAILURE
+        # with --trace-dir every trace is kept, without it the first failing one
+        path = (trace_dir or Path()) / f"trace-{args.scenario}-r{r}-seed{seed}.txt"
+        first = not verdict.ok and first_failure is None
+        if (trace_dir or first) and not _write(path, trace.serialize()):
+            return EXIT_FAILURE
+        if first:
             first_failure = path
             stall_lines = sim.stall_report(trace, config)
     if first_failure is not None:

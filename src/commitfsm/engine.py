@@ -539,42 +539,3 @@ def generate_with_stats(
     )
     return machine, stats
 
-
-def bisimulation_oracle(machine: StateMachine) -> tuple[frozenset[str], ...]:
-    """Coarsest partition of states under action-and-destination bisimilarity.
-
-    Starts from a split by per-message action signature (the finish state is
-    its own block) and refines by destination block until stable.  Used as an
-    independent check that merging never conflates behaviourally distinct
-    states; note that merging on literal destination names can be strictly
-    finer than this partition on machines with cycles.
-    """
-    messages = machine.messages
-    finish = machine.finish_state
-    block: dict[str, int] = {}
-    keys: dict = {}
-    for name, st in machine.states.items():
-        if name == finish:
-            key = None
-        else:
-            key = tuple(st.transitions[m].actions for m in messages)
-        block[name] = keys.setdefault(key, len(keys))
-    n_blocks = len(keys)
-    while True:
-        new_keys: dict = {}
-        new_block: dict[str, int] = {}
-        for name, st in machine.states.items():
-            if name == finish:
-                key = (block[name], None)
-            else:
-                key = (block[name], tuple(block[st.transitions[m].to] for m in messages))
-            new_block[name] = new_keys.setdefault(key, len(new_keys))
-        if len(new_keys) == n_blocks:
-            break
-        block = new_block
-        n_blocks = len(new_keys)
-    classes: dict[int, list[str]] = {}
-    for name, idx in block.items():
-        classes.setdefault(idx, []).append(name)
-    parts = [frozenset(names) for names in classes.values()]
-    return tuple(sorted(parts, key=min))

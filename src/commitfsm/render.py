@@ -20,7 +20,7 @@ class OptionError(ValueError):
 
 
 class SourceError(ValueError):
-    """A machine name that cannot become a distinct identifier of the generated module."""
+    """A name or annotation of the machine that the generated module cannot hold."""
 
 
 def render_text(machine: StateMachine, include_annotations: bool = True) -> str:
@@ -99,6 +99,17 @@ def _identifiers(kind: str, names, make, what: str, taken=()) -> dict[str, str]:
     return out
 
 
+def _check_comments(machine: StateMachine) -> None:
+    """SourceError if an annotation cannot be one comment line of the module:
+    a line break would end the comment, a null byte make the module uncompilable."""
+    for name, st in machine.states.items():
+        for message, owner in ((None, st), *st.transitions.items()):
+            text = "".join(owner.annotations)
+            if "\n" in text or "\r" in text or "\0" in text:
+                on = "" if message is None else f" on {message}"
+                raise SourceError(f"annotation of state {name!r}{on} has a line break or null byte")
+
+
 def _class_name(module_name: str) -> str:
     return "".join(part.capitalize() for part in module_name.split("_")) or "Machine"
 
@@ -116,7 +127,8 @@ def render_source(
     dispatch on the current state, and a create(sink) factory.  Actions are
     emitted through the sink; reaching the finish state calls on_finish.
     State and transition commentary is included as comments.  A name that
-    cannot become its identifier of the module raises SourceError.
+    cannot become its identifier of the module raises SourceError, as does
+    an included annotation holding a line break or null byte.
     """
     if not module_name.isidentifier() or keyword.iskeyword(module_name):
         raise OptionError(f"invalid module name {module_name!r}")
@@ -126,6 +138,8 @@ def render_source(
                             "the handler")
     names = sorted(machine.states)
     consts = _identifiers("state", names, state_constant, "the constant")
+    if include_annotations:
+        _check_comments(machine)
     cls = _class_name(module_name)
     out = []
     w = out.append
@@ -174,14 +188,13 @@ def render_source(
     for msg in machine.messages:
         w(f"    def {handlers[msg]}(self):\n")
         w("        state = self._state\n")
-        first = True
+        kw = "if"
         for name in names:
             if name == machine.finish_state:
                 continue
             t = machine.states[name].transitions[msg]
-            kw = "if" if first else "elif"
-            first = False
             w(f"        {kw} state == {consts[name]}:\n")
+            kw = "elif"
             if include_annotations and t.annotations:
                 for line in t.annotations:
                     w(f"            # {line}\n")
@@ -193,7 +206,7 @@ def render_source(
                 w(f"            self.set_state({consts[t.to]})\n")
                 if t.to == machine.finish_state:
                     w("            self._sink.on_finish()\n")
-        w(f"        elif state == {consts[machine.finish_state]}:\n")
+        w(f"        {kw} state == {consts[machine.finish_state]}:\n")
         w('            raise RuntimeError("machine already finished")\n')
         w("        else:\n")
         w('            raise ValueError("unknown state: %r" % (state,))\n\n')

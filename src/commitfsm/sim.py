@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .bft import ACTIONS
+from .bft import ACTIONS, BftParameters, fault_tolerance
 from .fsm import FINISH, StateMachine, action_message, sink_method, step
 
 SILENT = "silent"
@@ -270,6 +270,7 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
     peers = [[p for p in range(r) if p != n] for n in range(r)]
     states = machine.states
     start = machine.start_state
+    finish = machine.finish_state
     cursors: dict[tuple[int, str], str] = {}
     controllers = [SlotController(updates) for _ in range(r)]
     processed = {n: 0 for n in range(r)}
@@ -334,7 +335,7 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
             targets = (update,)
         for u in targets:
             before = cursors.get((node, u), start)
-            if before == FINISH:
+            if before == finish:
                 continue
             try:
                 t = states[before].transitions[kind]
@@ -345,7 +346,7 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
             after = t.to
             cursors[node, u] = after
             events.append(Event(step_no, sender, node, kind, u, before, after, actions))
-            if after == FINISH:
+            if after == finish:
                 order = finish_orders[node]
                 order.append(u)
                 if len(order) == n_updates:
@@ -399,7 +400,7 @@ def check_agreement(trace: SimTrace, config: SimConfig) -> Verdict:
     """Safety: finished correct nodes agree on what finished (and in what
     order, for concurrent updates).  Liveness: with at most f faulty nodes,
     every correct node finishes."""
-    f = (config.replication_factor - 1) // 3
+    f = fault_tolerance(config.replication_factor)
     correct = [n for n in range(config.replication_factor) if n not in trace.faulty]
     finished = [n for n in correct if trace.statuses.get(n) == FINISHED]
     orders = {trace.finish_orders[n] for n in finished}
@@ -422,7 +423,7 @@ def stall_report(trace: SimTrace, config: SimConfig) -> list[str]:
     trace's events, not from state names.
     """
     r = config.replication_factor
-    f = (r - 1) // 3
+    p = BftParameters.for_replication_factor(r)
     correct = [n for n in range(r) if n not in trace.faulty]
     finished = [n for n in correct if trace.statuses.get(n) == FINISHED]
     lines = []
@@ -449,8 +450,8 @@ def stall_report(trace: SimTrace, config: SimConfig) -> list[str]:
         commits = delivered.get((n, update, "COMMIT"), 0)
         lines.append(
             f"liveness: node {n} is {trace.statuses.get(n)} on {update}: "
-            f"{votes} VOTE delivered for a quorum of r-f={r - f} (own vote included), "
-            f"{commits} COMMIT delivered for a quorum of f+1={f + 1}"
+            f"{votes} VOTE delivered for a quorum of r-f={p.vote_threshold} (own vote included), "
+            f"{commits} COMMIT delivered for a quorum of f+1={p.commit_threshold}"
         )
     return lines
 

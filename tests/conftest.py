@@ -3,6 +3,7 @@ import importlib.util
 import pytest
 
 from commitfsm import bft, engine, render
+from reference import raw_machine
 
 
 @pytest.fixture(scope="session")
@@ -12,7 +13,7 @@ def params4():
 
 @pytest.fixture(scope="session")
 def raw4():
-    return bft.raw_machine(4)
+    return raw_machine(4)
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,15 @@ from contextlib import contextmanager
 import pytest
 
 from commitfsm import bft, engine, sim
-from commitfsm.fsm import FINISH, serialize, state_counts, step, validate
+from commitfsm.fsm import FINISH, serialize, state_counts, validate
 from commitfsm.sim import BYZANTINE, CONCURRENT_UPDATES, CRASH, SILENT, SINGLE_UPDATE
+from reference import (
+    action_trace,
+    bisimulation_oracle,
+    merge_rounds,
+    raw_machine,
+    signature_groups,
+)
 
 TABLE_ROWS = {
     # r: (initial, final including the finish state)
@@ -83,31 +90,6 @@ def test_criterion_5_generation_time(timed_family):
         assert timed_family[4][2] < 1.0
 
 
-def _merge_groups(machine):
-    groups = {}
-    for name, st in machine.states.items():
-        if name == machine.finish_state:
-            continue
-        sig = tuple(
-            (st.transitions[m].actions,
-             "SELF" if st.transitions[m].to == name else st.transitions[m].to)
-            for m in machine.messages
-        )
-        groups.setdefault(sig, []).append(name)
-    return [members for members in groups.values() if len(members) > 1]
-
-
-def _action_trace(machine, sequence):
-    state = machine.start_state
-    out = []
-    for message in sequence:
-        if state == machine.finish_state:
-            break
-        actions, state = step(machine, state, message)
-        out.append(actions)
-    return out, state == machine.finish_state
-
-
 # r: (initial, after_prune, final, passes, SHA-256 of the serialized
 # document), recorded from the enumerate-prune-merge pipeline of the
 # paper; generation must reproduce every document byte for byte.
@@ -136,23 +118,18 @@ def test_documents_byte_identical(timed_family):
 def test_criterion_6_minimization_soundness(raw4, pruned4, final4):
     with report(6, "merge soundness vs bisimulation oracle, idempotence, trace equality"):
         for r in (4, 7):
-            machine = engine.prune_unreachable(bft.raw_machine(r))
-            parts = engine.bisimulation_oracle(machine)
+            rounds = merge_rounds(raw_machine(r))
+            parts = bisimulation_oracle(rounds[0])
             cls = {name: i for i, part in enumerate(parts) for name in part}
-            m = machine
-            while True:
-                for members in _merge_groups(m):
+            for m in rounds:
+                for members in signature_groups(m):
                     assert len({cls[name] for name in members}) == 1
-                m, changed = engine.merge_equivalent_once(m)
-                if not changed:
-                    break
-                m = engine.prune_unreachable(m)
         assert serialize(engine.minimize(final4)) == serialize(final4)
         assert validate(final4) == []
         for sequence in itertools.product(raw4.messages, repeat=6):
-            assert _action_trace(raw4, sequence) == _action_trace(final4, sequence)
+            assert action_trace(raw4, sequence) == action_trace(final4, sequence)
         for sequence in sim.random_sequences(raw4, 10_000, 40, seed=20240501):
-            assert _action_trace(raw4, sequence) == _action_trace(final4, sequence)
+            assert action_trace(raw4, sequence) == action_trace(final4, sequence)
 
 
 def test_criterion_7_simulation_sweep():

@@ -1,7 +1,6 @@
 import pytest
 
 from commitfsm import engine
-from commitfsm.engine import bisimulation_oracle
 from commitfsm.bft import (
     MESSAGES,
     BftParameters,
@@ -19,6 +18,7 @@ from commitfsm.bft import (
     transition_rules,
 )
 from commitfsm.fsm import FINISH, state_counts, state_name
+from reference import bisimulation_oracle
 
 
 class TestParameters:

@@ -186,6 +186,28 @@ class TestRender:
         assert repr(named) in _assert_one_error_line(capsys)
         assert not (tmp_path / "x.py").exists()
 
+    # a line break in an annotation would end its comment line in the
+    # generated module, and a null byte makes the module uncompilable
+    @pytest.mark.parametrize("path", [
+        ("states", 0, "annotations", 0),
+        ("states", 0, "transitions", 1, "annotations", 0),
+    ], ids=["state", "transition"])
+    @pytest.mark.parametrize("tail", ["x\n)", "x\rINJECTED = 42", "\0"],
+                             ids=["newline", "return", "null"])
+    def test_annotation_that_is_no_comment_line(self, machine_doc, tmp_path, capsys, path, tail):
+        doc = json.loads(machine_doc.read_text())
+        *keys, last = path
+        functools.reduce(operator.getitem, keys, doc)[last] += tail
+        bad = tmp_path / "bad_note.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x.py"
+        assert main(["render", "-i", str(bad), "--format", "source", "-o", str(out)]) == 1
+        assert "annotation" in _assert_one_error_line(capsys)
+        assert not out.exists()
+        assert main(["render", "-i", str(bad), "--format", "source", "--no-annotations",
+                     "-o", str(out)]) == 0
+        compile(out.read_text(), str(out), "exec")
+
     # each malformed shape that deserialize rejects: the path into the r = 4
     # document and the value put there (the empty path replaces the document)
     @pytest.mark.parametrize("path,value", [

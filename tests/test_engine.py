@@ -8,7 +8,6 @@ from commitfsm.engine import (
     GenerationError,
     MetaModelSpec,
     SpecError,
-    bisimulation_oracle,
     enumerate_states,
     generate_reachable,
     generate_transitions,
@@ -26,8 +25,15 @@ from commitfsm.fsm import (
     Transition,
     serialize,
     state_counts,
-    step,
     validate,
+)
+from reference import (
+    action_trace,
+    bft_pipeline_args,
+    bisimulation_oracle,
+    merge_rounds,
+    raw_machine,
+    signature_groups,
 )
 
 
@@ -128,23 +134,12 @@ class TestGenerateTransitions:
             generate_transitions(spec, {}, enumerate_states(spec))
 
 
-def bft_pipeline_args(r):
-    """(spec, rules, keyword arguments) exactly as bft passes them to the engine."""
-    p = bft.BftParameters.for_replication_factor(r)
-    kwargs = dict(
-        annotate_state=lambda s: bft.annotate(s, p),
-        annotate_transition=bft.annotate_transition,
-        finish_annotations=bft.FINISH_ANNOTATIONS,
-    )
-    return bft.bft_spec(r), bft.transition_rules(p), kwargs
-
-
 class TestGenerateReachable:
     @pytest.mark.parametrize("r", [4, 7, 13])
     def test_equals_the_pruned_raw_machine(self, r):
         spec, rules, kwargs = bft_pipeline_args(r)
         forward = generate_reachable(spec, rules, **kwargs)
-        pruned = prune_unreachable(bft.raw_machine(r))
+        pruned = prune_unreachable(raw_machine(r))
         assert set(forward.states) == set(pruned.states)
         for name, st in pruned.states.items():
             assert forward.states[name].transitions == st.transitions, name
@@ -322,7 +317,7 @@ class TestMinimize:
 
     def test_behaviour_preserved_exhaustively(self, raw4, final4):
         for seq in itertools.product(raw4.messages, repeat=4):
-            assert _trace(raw4, seq) == _trace(final4, seq)
+            assert action_trace(raw4, seq) == action_trace(final4, seq)
 
     def test_pipeline_equals_stage_composition(self, raw4, final4):
         composed = minimize(prune_unreachable(raw4))
@@ -368,50 +363,25 @@ def copied_layers_machine(rng):
 
 
 class TestMergeRounds:
-    @staticmethod
-    def reference_minimize(machine):
-        """The stage-by-stage loop: re-prune after every merge round."""
-        m = prune_unreachable(machine)
-        counts = []
-        while True:
-            m, changed = merge_equivalent_once(m)
-            if not changed:
-                return m, counts
-            again = prune_unreachable(m)
-            # a merge round never strands a survivor, so re-pruning is a no-op
-            assert again is m
-            counts.append(state_counts(m)[1])
-
     @pytest.mark.parametrize("r", [4, 7, 13])
     def test_equals_the_reprune_loop(self, r):
-        raw = bft.raw_machine(r)
-        reference, counts = self.reference_minimize(raw)
-        assert minimize(raw) == reference
+        raw = raw_machine(r)
+        rounds = merge_rounds(raw)
+        assert minimize(raw) == rounds[-1]
         machine, stats = bft.generate_with_stats(r)
-        assert machine == reference
-        assert list(stats.merge_passes) == counts
-        assert stats.passes == len(counts) + 1
+        assert machine == rounds[-1]
+        assert list(stats.merge_passes) == [state_counts(m)[1] for m in rounds[1:]]
+        assert stats.passes == len(rounds)
 
     def test_equals_the_reprune_loop_on_random_machines(self):
         rng = random.Random(20261018)
-        rounds = []
+        passes = []
         for _ in range(300):
             m = copied_layers_machine(rng)
-            reference, counts = self.reference_minimize(m)
-            assert minimize(m) == reference
-            rounds.append(len(counts))
-        assert max(rounds) >= 3  # the generator does exercise later rounds
-
-
-def _trace(machine, sequence):
-    state = machine.start_state
-    out = []
-    for message in sequence:
-        if state == machine.finish_state:
-            break
-        actions, state = step(machine, state, message)
-        out.append(actions)
-    return out, state == machine.finish_state
+            rounds = merge_rounds(m)
+            assert minimize(m) == rounds[-1]
+            passes.append(len(rounds))
+        assert max(passes) >= 4  # the generator does exercise later rounds
 
 
 class TestBisimulationOracle:
@@ -441,36 +411,16 @@ class TestBisimulationOracle:
         # soundness: every pair the pipeline merges is bisimilar in the input
         parts = bisimulation_oracle(pruned4)
         cls = {name: i for i, part in enumerate(parts) for name in part}
-        m = pruned4
-        while True:
-            groups = _signature_groups(m)
-            for members in groups:
+        for m in merge_rounds(pruned4):
+            for members in signature_groups(m):
                 ids = {cls[name] for name in members}
                 assert len(ids) == 1, f"merged non-bisimilar states: {members}"
-            m, changed = merge_equivalent_once(m)
-            if not changed:
-                break
-            m = prune_unreachable(m)
 
     def test_oracle_may_be_coarser_than_merge(self, pruned4, final4):
         # the slot flags toggle in cycles, which name-based merging cannot
         # collapse; the oracle is allowed to be coarser and this documents it
         oracle_classes = len(bisimulation_oracle(pruned4))
         assert oracle_classes <= len(final4.states)
-
-
-def _signature_groups(machine):
-    groups = {}
-    for name, st in machine.states.items():
-        if name == machine.finish_state:
-            continue
-        sig = tuple(
-            (st.transitions[m].actions,
-             "SELF" if st.transitions[m].to == name else st.transitions[m].to)
-            for m in machine.messages
-        )
-        groups.setdefault(sig, []).append(name)
-    return [members for members in groups.values() if len(members) > 1]
 
 
 class TestStats:

@@ -1,12 +1,25 @@
 import hashlib
 import re
+import string
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commitfsm import bft, sim
-from commitfsm.fsm import FINISH, BOOLEAN, ComponentSpec, State, StateMachine, Transition
+from commitfsm.fsm import (
+    FINISH,
+    BOOLEAN,
+    ComponentSpec,
+    State,
+    StateMachine,
+    Transition,
+    validate,
+)
 from commitfsm.render import (
     OptionError,
+    SourceError,
     render_dot,
     render_source,
     render_text,
@@ -209,6 +222,59 @@ class TestSource:
         assert sink.calls == ["ACT"] and tiny.get_state() == "B"
         sequences = sim.random_sequences(machine, 50, 6, seed=1)
         assert sim.co_simulate(machine, module, sequences).ok
+
+    def test_finish_only_machine(self, tmp_path):
+        # every handler opens with the finish branch, so it must be an if
+        machine = StateMachine(4, 1, (ComponentSpec("x", BOOLEAN),), ("GO",), (),
+                               {FINISH: State(FINISH, {})}, FINISH, FINISH)
+        assert validate(machine) == []
+        module = import_generated(machine, tmp_path, module_name="finished")
+        with pytest.raises(RuntimeError, match="already finished"):
+            module.create(module.ActionSink()).receive("GO")
+
+
+# Names from identifier characters (state names also take "/"): they may
+# still collide or form a keyword, which render_source must refuse.
+_idents = st.text(string.ascii_letters + "_", min_size=1, max_size=4)
+_state_names = st.text("aZ0_/", min_size=1, max_size=4)
+# Annotations may hold any text, line breaks and null bytes included.
+_notes = st.lists(st.text(max_size=4), max_size=2).map(tuple)
+
+
+@st.composite
+def valid_machines(draw):
+    """A small machine that validate accepts: states[0] is the start and
+    states[-1] the finish, and the first message leads each other state to
+    a later one, so the finish is reachable."""
+    messages = tuple(draw(st.lists(_idents, min_size=1, max_size=3, unique=True)))
+    actions = tuple(draw(st.lists(_idents | _idents.map("SEND_".__add__),
+                                  max_size=3, unique=True)))
+    names = draw(st.lists(_state_names, min_size=2, max_size=6, unique=True))
+    states = {names[-1]: State(names[-1], {}, draw(_notes))}
+    for i, name in enumerate(names[:-1]):
+        transitions = {}
+        for msg in messages:
+            later = names[i + 1:] if msg == messages[0] else names
+            acts = draw(st.lists(st.sampled_from(actions), unique=True)) if actions else []
+            transitions[msg] = Transition(msg, tuple(acts), draw(st.sampled_from(later)),
+                                          draw(_notes))
+        states[name] = State(name, transitions, draw(_notes))
+    return StateMachine(4, 1, (ComponentSpec("x", BOOLEAN),), messages, actions,
+                        states, names[0], names[-1])
+
+
+@settings(deadline=None)
+@given(valid_machines(), st.integers(0, 2**32))
+def test_source_co_simulates_or_is_refused(machine, seed):
+    assert validate(machine) == []
+    try:
+        source = render_source(machine, module_name="drawn_machine")
+    except SourceError:
+        return
+    module = types.ModuleType("drawn_machine")
+    exec(compile(source, "drawn_machine.py", "exec"), module.__dict__)
+    sequences = sim.random_sequences(machine, 20, 8, seed=seed)
+    assert sim.co_simulate(machine, module, sequences).ok
 
 
 class TestDispatch:

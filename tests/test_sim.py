@@ -5,7 +5,7 @@ import pytest
 
 import trace_digest
 from commitfsm import bft
-from commitfsm.fsm import UnknownStateError, action_message
+from commitfsm.fsm import UnknownStateError, action_message, deserialize, serialize, validate
 from commitfsm.sim import (
     BYZANTINE,
     CONCURRENT_UPDATES,
@@ -180,6 +180,24 @@ class TestRunSimulation:
             transitions={**start.transitions, "PUT": put})}
         with pytest.raises(UnknownStateError, match="NOWHERE"):
             run_simulation(dataclasses.replace(final4, states=states), SimConfig(4, 0))
+
+    @pytest.mark.parametrize("delivery", DELIVERY_MODES)
+    def test_finish_state_of_any_name(self, final4, delivery):
+        renamed = deserialize(serialize(final4).replace('"FINISH"', '"DONE"'))
+        assert renamed.finish_state == "DONE" and validate(renamed) == []
+        def unrename(name):
+            return FINISH if name == "DONE" else name
+        for scenario in SCENARIOS:
+            for seed in range(3):
+                cfg = SimConfig(4, seed, scenario, delivery=delivery)
+                want = run_simulation(final4, cfg)
+                got = run_simulation(renamed, cfg)
+                assert [e._replace(state_before=unrename(e.state_before),
+                                   state_after=unrename(e.state_after))
+                        for e in got.events] == list(want.events)
+                assert got.statuses == want.statuses
+                assert got.finish_orders == want.finish_orders
+                assert check_agreement(got, cfg) == check_agreement(want, cfg)
 
     def test_concurrent_updates_agree_on_order(self, final4):
         for seed in range(10):
