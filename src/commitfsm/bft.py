@@ -35,6 +35,8 @@ as above, and the golden r = 4 transitions chose F-b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from sys import intern
 
 from . import engine
 from .fsm import (
@@ -246,7 +248,11 @@ def _count(n: int, noun: str) -> str:
 
 
 def annotate(s: tuple, p: BftParameters) -> tuple[str, ...]:
-    """Generated commentary describing a state in terms of the general algorithm."""
+    """Generated commentary describing a state in terms of the general algorithm.
+
+    Each line is one shared string object however many states and machines
+    carry it: the fixed lines are constants and the others are interned.
+    """
     put, votes, vsent, commits, csent, could, chosen = s
     lines = []
     if put:
@@ -261,16 +267,16 @@ def annotate(s: tuple, p: BftParameters) -> tuple[str, ...]:
         lines.append("Have not voted since another update has already been voted for.")
     else:
         lines.append("Have not voted.")
-    lines.append(f"Have received {_count(votes, 'vote')} and {_count(commits, 'commit')}.")
+    lines.append(intern(f"Have received {_count(votes, 'vote')} and {_count(commits, 'commit')}."))
     total_votes = votes + (1 if vsent else 0)
     if csent:
         lines.append("Have sent a commit message.")
     elif total_votes < p.vote_threshold and commits < p.commit_threshold:
-        lines.append(
+        lines.append(intern(
             f"Have not sent a commit since neither the vote threshold "
             f"({p.vote_threshold}) nor the external commit threshold "
             f"({p.commit_threshold}) has been reached."
-        )
+        ))
     else:
         lines.append("Have not sent a commit.")
     if could:
@@ -285,14 +291,14 @@ def annotate(s: tuple, p: BftParameters) -> tuple[str, ...]:
         awaited = p.vote_threshold - total_votes
         if awaited > 0:
             noun = "vote" if awaited == 1 else "votes"
-            lines.append(
+            lines.append(intern(
                 f"Waiting for {awaited} further {noun} (including local vote "
                 f"if any) before sending commit."
-            )
+            ))
     awaited = p.commit_threshold - commits
     if awaited > 0:
         noun = "commit" if awaited == 1 else "commits"
-        lines.append(f"Waiting for {awaited} further external {noun} to finish.")
+        lines.append(intern(f"Waiting for {awaited} further external {noun} to finish."))
     return tuple(lines)
 
 
@@ -302,14 +308,22 @@ FINISH_ANNOTATIONS = ("The protocol run has completed; the update is committed."
 def annotate_transition(
     s: tuple, message: str, actions: tuple[str, ...], succ
 ) -> tuple[str, ...]:
-    """One-line rationale for a transition, for documentation artefacts."""
+    """One-line rationale for a transition, for documentation artefacts.
+
+    Equal rationales are one shared tuple.
+    """
     finishes = isinstance(succ, str) and succ == FINISH
+    return _transition_note(actions, finishes, not finishes and succ == s)
+
+
+@cache
+def _transition_note(actions: tuple[str, ...], finishes: bool, no_effect: bool) -> tuple[str, ...]:
     if finishes:
         if actions:
             prose = ", ".join(map(action_prose, actions))
             return (f"External commit threshold reached; {prose}; the run finishes.",)
         return ("External commit threshold reached; the run finishes.",)
-    if succ == s:
+    if no_effect:
         return ("No effect in this state.",)
     if actions:
         prose = ", ".join(map(action_prose, actions))

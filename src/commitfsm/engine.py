@@ -11,13 +11,24 @@ per message, and defines a machine in four stages:
    pruning until neither stage changes anything.
 
 Each stage is available as its own function (enumerate_states,
-generate_transitions, prune_unreachable, merge_equivalent_once).  The
-pipeline itself (generate_with_stats) computes the same machine with less
-work: generate_reachable applies the rules breadth-first from the start
-vector, so stages 1-3 touch reachable states only, and the merge recomputes
-after each round only the signatures of states whose successors were
-renamed, without re-pruning (see _merge_rounds for why a merge round never
-strands a survivor).
+generate_transitions, prune_unreachable, merge_equivalent_once); they are
+the reference that the pipeline is tested against.  The pipeline itself
+(generate_with_stats) computes the same machine with less work, on integer
+state ids:
+
+- _forward applies the rules breadth-first from the start vector, so
+  stages 1-3 touch reachable states only.  It numbers each vector in the
+  order it is first reached, which is reachable_names order and so the
+  merge rank, and keeps per id only actions, destination ids, the rules'
+  raw successors and the state's annotations.
+- _merge_ids runs the merge rounds on those ids, re-signing after each
+  round only the states whose successors were renamed, without re-pruning
+  (see there for why a merge round never strands a survivor).
+- _build names the survivors and builds and annotates their transitions;
+  the states merged away are never named.
+
+generate_reachable (every id built) and minimize (a named machine turned
+into ids) use the same kernel.
 
 Every stage is a pure function from machine to machine, so independent
 generations can run concurrently without shared state.
@@ -29,7 +40,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .fsm import (
     FINISH,
@@ -205,6 +216,238 @@ def _domain_vector(vector, domains) -> tuple | None:
     return tuple(out)
 
 
+# Sentinel for "the state itself" in merge signatures.
+_SELF = object()
+
+
+# Destination id of the finish state in the id kernel.  Component states
+# have ids 0, 1, ... in breadth-first discovery order; every id below 0
+# names a destination that takes no part in merging.
+_FINISH_ID = -1
+
+
+class _Reached(NamedTuple):
+    """The reachable component states by id, as _forward leaves them.
+
+    For id i: vectors[i] is the state vector, acts[i] the action tuple of
+    each message in declared order, dests[i] the destination id of each
+    message (_FINISH_ID for FINISH), succs[i] the successors exactly as the
+    rules returned them, and notes[i] the state's annotations.
+    """
+
+    vectors: list[tuple]
+    acts: list[tuple[tuple[str, ...], ...]]
+    dests: list[list[int]]
+    succs: list[list]
+    notes: list[tuple[str, ...]]
+    reaches_finish: bool
+
+
+def _forward(
+    spec: MetaModelSpec,
+    rules: TransitionRuleSet,
+    annotate_state: StateAnnotator | None,
+) -> _Reached:
+    """Apply the rules breadth-first from the start vector, numbering each
+    vector in the order it is first reached (messages in declared order).
+
+    The checks are generate_transitions': one rule per message, declared
+    actions (each distinct action tuple is checked once), and a successor
+    that is FINISH or equal to a vector of the component domain (right
+    arity, every value in its component's domain).  No state is named
+    unless a GenerationError names it.
+    """
+    _check_rules(spec, rules)
+    components = spec.components
+    domains = [c.domain() for c in components]
+    start = _domain_vector(spec.start_vector, domains)
+    if start is None:
+        raise SpecError("start_vector is not a valid component assignment")
+    messages = spec.messages
+    message_rules = [(m, rules[m]) for m in messages]
+    action_set = set(spec.actions)
+    checked: dict[tuple, tuple[str, ...]] = {}
+    id_of = {start: 0}
+    vectors = [start]
+    acts, dests, succs, notes = [], [], [], []
+    reaches_finish = False
+
+    def fail(vector, message, detail):
+        return GenerationError(state_name(vector, components), message, detail)
+
+    for vector in vectors:  # appended to while it is read
+        row_acts, row_dests, row_succs = [], [], []
+        for message, rule in message_rules:
+            actions, succ = rule(vector)
+            actions = tuple(actions)
+            known = checked.get(actions)
+            if known is None:
+                for action in actions:
+                    if action not in action_set:
+                        raise fail(vector, message, f"undeclared action {action!r}")
+                known = checked[actions] = actions
+            if isinstance(succ, str):
+                if succ != FINISH:
+                    raise fail(vector, message, f"bad successor {succ!r}")
+                dest = _FINISH_ID
+                reaches_finish = True
+            else:
+                dest = id_of.get(succ) if isinstance(succ, tuple) else None
+                if dest is None:
+                    reached = _domain_vector(succ, domains) if isinstance(succ, tuple) else None
+                    if reached is None:
+                        raise fail(
+                            vector, message, f"successor {succ!r} outside the component domain"
+                        )
+                    dest = id_of[reached] = len(vectors)
+                    vectors.append(reached)
+            row_acts.append(known)
+            row_dests.append(dest)
+            row_succs.append(succ)
+        acts.append(tuple(row_acts))
+        dests.append(row_dests)
+        succs.append(row_succs)
+        notes.append(tuple(annotate_state(vector)) if annotate_state else ())
+    return _Reached(vectors, acts, dests, succs, notes, reaches_finish)
+
+
+def _merge_ids(
+    acts: list[tuple], dests: list[list[int]], notes: list[tuple[str, ...]]
+) -> tuple[list[int], tuple[int, ...]]:
+    """Merge rounds on ids until one changes nothing.
+
+    Ids 0 .. n-1 are the mergeable states, numbered in the breadth-first
+    order of the pruned machine; a destination id below 0 never merges.
+    Each round merges exactly what merge_equivalent_once would: states with
+    equal actions and destinations, a self-loop counting as "the state
+    itself", the least id of each group kept as its representative, and the
+    members' annotations concatenated in id order and de-duplicated.  dests
+    and notes are updated in place.  Returns the surviving ids in ascending
+    order and the surviving count after each round that merged something;
+    the rounds run are that many plus the final one that found nothing.
+
+    The result equals that of alternating merge_equivalent_once and
+    prune_unreachable, without their repeated work:
+
+    - No re-prune.  A round removes only renamed members, and every
+      survivor stays reachable: a member's successors are its
+      representative's successors (equal signatures name literal
+      destinations), so every path through the old machine maps through the
+      renaming to a path through the new one.
+    - One traversal order.  A member is discovered after its representative
+      and so discovers nothing new itself, and an edge redirected from a
+      member to its representative finds the representative already
+      discovered; so the survivors keep their breadth-first order, and the
+      ids stay the merge rank, in every later round.
+    - A worklist.  A state's signature changes only when one of its
+      successors is renamed, so after a round only the surviving
+      predecessors of renamed states are re-signed, and only the groups
+      they enter can hold two states.
+    """
+    n = len(dests)
+    preds: list[set[int] | None] = [set() for _ in range(n)]
+    for i, ds in enumerate(dests):
+        for d in ds:
+            if d >= 0:
+                preds[d].add(i)
+
+    def signature(i: int) -> tuple:
+        return acts[i], tuple(_SELF if d == i else d for d in dests[i])
+
+    sig_of = [signature(i) for i in range(n)]
+    groups: dict[tuple, set[int]] = {}
+    for i, sig in enumerate(sig_of):
+        groups.setdefault(sig, set()).add(i)
+
+    live = n
+    counts: list[int] = []
+    dirty = list(groups)
+    while True:
+        rename: dict[int, int] = {}
+        for sig in dirty:
+            members = groups.get(sig)
+            if members is None or len(members) < 2:
+                continue
+            ordered = sorted(members)
+            rep = ordered[0]
+            notes[rep] = tuple(dict.fromkeys(line for m in ordered for line in notes[m]))
+            for member in ordered[1:]:
+                rename[member] = rep
+            groups[sig] = {rep}
+        if not rename:
+            break
+
+        touched: set[int] = set()
+        for member in rename:
+            for d in dests[member]:
+                if d >= 0 and d not in rename:
+                    preds[d].discard(member)
+            touched.update(preds[member])
+            dests[member] = preds[member] = None
+        touched.difference_update(rename)
+        dirty = []
+        for i in touched:
+            ds = dests[i]
+            for k, d in enumerate(ds):
+                rep = rename.get(d)
+                if rep is not None:
+                    ds[k] = rep
+                    preds[rep].add(i)
+            old = sig_of[i]
+            group = groups[old]
+            group.discard(i)
+            if not group:
+                del groups[old]
+            sig = sig_of[i] = signature(i)
+            groups.setdefault(sig, set()).add(i)
+            dirty.append(sig)
+        live -= len(rename)
+        counts.append(live)
+    return [i for i in range(n) if dests[i] is not None], tuple(counts)
+
+
+def _build(
+    spec: MetaModelSpec,
+    reached: _Reached,
+    ids: list[int],
+    annotate_transition: TransitionAnnotator | None,
+    finish_annotations: tuple[str, ...],
+) -> StateMachine:
+    """The machine of the given ids: only these are named and their
+    transitions built and annotated, in id order, the finish state last."""
+    components = spec.components
+    messages = spec.messages
+    vectors, acts, dests, succs, notes, reaches_finish = reached
+    # names[_FINISH_ID] is the last entry
+    names: list[str | None] = [None] * len(vectors) + [FINISH]
+    for i in ids:
+        names[i] = state_name(vectors[i], components)
+    state_map: dict[str, State] = {}
+    for i in ids:
+        vector = vectors[i]
+        transitions: dict[str, Transition] = {}
+        for message, actions, dest, succ in zip(messages, acts[i], dests[i], succs[i]):
+            note = (
+                tuple(annotate_transition(vector, message, actions, succ))
+                if annotate_transition
+                else ()
+            )
+            transitions[message] = Transition(message, actions, names[dest], note)
+        state_map[names[i]] = State(names[i], transitions, notes[i])
+    if reaches_finish:
+        state_map[FINISH] = State(FINISH, {}, tuple(finish_annotations))
+    return StateMachine(
+        replication_factor=spec.replication_factor,
+        fault_tolerance=spec.fault_tolerance,
+        components=components,
+        messages=messages,
+        actions=spec.actions,
+        states=state_map,
+        start_state=names[0],
+        finish_state=FINISH,
+    )
+
+
 def generate_reachable(
     spec: MetaModelSpec,
     rules: TransitionRuleSet,
@@ -217,53 +460,12 @@ def generate_reachable(
 
     Equal to prune_unreachable(generate_transitions(spec, rules,
     enumerate_states(spec), ...)), but rules and annotators run only on
-    states reachable from the start: the rules are applied breadth-first,
-    messages in declared order, and a state is named when first reached.
-    Every check of generate_transitions applies to each reached state: one
-    rule per message, declared actions, and a successor that is FINISH or
-    equal to a vector of the component domain (right arity, every value in
-    its component's domain).  A rule error on a state that is never reached
-    goes unreported.
+    states reachable from the start (see _forward for the checks made on
+    each).  A rule error on a state that is never reached goes unreported.
     """
-    _check_rules(spec, rules)
-    components = spec.components
-    domains = [c.domain() for c in components]
-    action_set = set(spec.actions)
-    start = _domain_vector(spec.start_vector, domains)
-    if start is None:
-        raise SpecError("start_vector is not a valid component assignment")
-    name_of = {start: state_name(start, components)}
-    queue = [start]
-
-    def discover(succ) -> str | None:
-        if not isinstance(succ, tuple):
-            return None
-        dest = name_of.get(succ)
-        if dest is None:
-            reached = _domain_vector(succ, domains)
-            if reached is not None:
-                dest = name_of[reached] = state_name(reached, components)
-                queue.append(reached)
-        return dest
-
-    state_map: dict[str, State] = {}
-    for vector in queue:  # discover appends to the queue while it is read
-        name = name_of[vector]
-        state_map[name] = _apply_rules(
-            spec, rules, vector, name, discover, action_set,
-            annotate_state, annotate_transition,
-        )
-    if any(t.to == FINISH for st in state_map.values() for t in st.transitions.values()):
-        state_map[FINISH] = State(FINISH, {}, tuple(finish_annotations))
-    return StateMachine(
-        replication_factor=spec.replication_factor,
-        fault_tolerance=spec.fault_tolerance,
-        components=components,
-        messages=spec.messages,
-        actions=spec.actions,
-        states=state_map,
-        start_state=name_of[start],
-        finish_state=FINISH,
+    reached = _forward(spec, rules, annotate_state)
+    return _build(
+        spec, reached, list(range(len(reached.vectors))), annotate_transition, finish_annotations
     )
 
 
@@ -274,10 +476,6 @@ def prune_unreachable(machine: StateMachine) -> StateMachine:
         return machine
     states = {n: s for n, s in machine.states.items() if n in reachable}
     return replace(machine, states=states)
-
-
-# Sentinel for "the state itself" in merge signatures.
-_SELF = object()
 
 
 def _traversal_order(machine: StateMachine) -> dict[str, int]:
@@ -353,121 +551,52 @@ def merge_equivalent_once(machine: StateMachine) -> tuple[StateMachine, bool]:
     return replace(machine, states=new_states, start_state=start), True
 
 
-def _merge_rounds(machine: StateMachine) -> tuple[StateMachine, tuple[int, ...]]:
-    """Merge rounds of merge_equivalent_once until one changes nothing.
+def minimize(machine: StateMachine) -> StateMachine:
+    """Prune, then merge equivalent states until a merge round changes nothing.
 
-    machine must be pruned: every state reachable from the start.  Returns
-    the merged machine (machine itself when nothing merges) and the
-    component state count after each round that merged something; the
-    rounds run are that many plus the final one that found nothing.
-
-    Each round merges exactly what merge_equivalent_once would, so the
-    result equals that of alternating merge_equivalent_once and
-    prune_unreachable, without their repeated work:
-
-    - No re-prune.  A round removes only renamed members, and every
-      survivor stays reachable: a member's successors are its
-      representative's successors (equal signatures name literal
-      destinations), so every path through the old machine maps through the
-      renaming to a path through the new one.
-    - One traversal order.  Representatives are chosen by the breadth-first
-      order of the pruned machine, computed once.  A member is discovered
-      after its representative and so discovers nothing new itself, and an
-      edge redirected from a member to its representative finds the
-      representative already discovered; the survivors keep their relative
-      order in every later round.
-    - A worklist.  A state's signature changes only when one of its
-      successors is renamed, so after a round only the surviving
-      predecessors of renamed states are re-signed, and only the groups
-      they enter can hold two states.
+    The states reachable from the start get ids in reachable_names order
+    (the finish state excepted) and go through the same merge kernel as
+    generate_with_stats; survivors keep their transitions, redirected to
+    representatives, and their order in machine.states.  Returns machine
+    itself when there is nothing to prune or merge.
     """
     finish = machine.finish_state
-    messages = machine.messages
-    rank = _traversal_order(machine)
-    acts: dict[str, tuple] = {}
-    dests: dict[str, list[str]] = {}
-    preds: dict[str, set[str]] = {}
-    for name, st in machine.states.items():
-        if name != finish:
-            ts = [st.transitions[m] for m in messages]
-            acts[name] = tuple(t.actions for t in ts)
-            dests[name] = [t.to for t in ts]
-            preds[name] = set()
-    for name, ds in dests.items():
-        for d in ds:
-            if d in preds:
-                preds[d].add(name)
+    order = reachable_names(machine)
+    names = [name for name in order if name != finish]
+    id_of = {name: i for i, name in enumerate(names)}
+    fixed: dict[str, int] = {}  # other destinations: below 0, never merged
+    acts, dests, notes = [], [], []
+    for name in names:
+        st = machine.states[name]
+        ts = [st.transitions[m] for m in machine.messages]
+        acts.append(tuple(t.actions for t in ts))
+        dests.append([
+            id_of[t.to] if t.to in id_of else fixed.setdefault(t.to, -1 - len(fixed))
+            for t in ts
+        ])
+        notes.append(st.annotations)
+    survivors, counts = _merge_ids(acts, dests, notes)
+    if not counts and len(order) == len(machine.states):
+        return machine
 
-    def signature(name: str) -> tuple:
-        return acts[name], tuple(_SELF if d == name else d for d in dests[name])
-
-    sig_of = {name: signature(name) for name in dests}
-    groups: dict[tuple, set[str]] = {}
-    for name, sig in sig_of.items():
-        groups.setdefault(sig, set()).add(name)
-    annotations = {name: st.annotations for name, st in machine.states.items()}
-
-    counts: list[int] = []
-    dirty = list(groups)
-    while True:
-        rename: dict[str, str] = {}
-        for sig in dirty:
-            members = groups.get(sig)
-            if members is None or len(members) < 2:
-                continue
-            ordered = sorted(members, key=rank.__getitem__)
-            rep = ordered[0]
-            annotations[rep] = tuple(dict.fromkeys(line for m in ordered for line in annotations[m]))
-            for member in ordered[1:]:
-                rename[member] = rep
-            groups[sig] = {rep}
-        if not rename:
-            break
-
-        touched: set[str] = set()
-        for member in rename:
-            for d in dests.pop(member):
-                if d in preds and d not in rename:
-                    preds[d].discard(member)
-            touched.update(preds.pop(member))
-            del sig_of[member]
-        touched.difference_update(rename)
-        dirty = []
-        for name in touched:
-            ds = dests[name]
-            for i, d in enumerate(ds):
-                rep = rename.get(d)
-                if rep is not None:
-                    ds[i] = rep
-                    preds[rep].add(name)
-            old = sig_of[name]
-            group = groups[old]
-            group.discard(name)
-            if not group:
-                del groups[old]
-            sig = sig_of[name] = signature(name)
-            groups.setdefault(sig, set()).add(name)
-            dirty.append(sig)
-        counts.append(len(dests))
-
-    if not counts:
-        return machine, ()
+    kept = set(survivors)
+    reached = set(order)
     new_states: dict[str, State] = {}
     for name, st in machine.states.items():
-        if name == finish:
-            new_states[name] = st
-        elif name in dests:
-            transitions: dict[str, Transition] = {}
-            for m, to in zip(messages, dests[name]):
-                t = st.transitions[m]
-                transitions[m] = t if t.to == to else t._replace(to=to)
-            new_states[name] = State(name, transitions, annotations[name])
-    return replace(machine, states=new_states), tuple(counts)
-
-
-def minimize(machine: StateMachine) -> StateMachine:
-    """Prune, then merge equivalent states until a merge round changes nothing."""
-    return _merge_rounds(prune_unreachable(machine))[0]
+        i = id_of.get(name)
+        if i is None:
+            if name == finish and name in reached:
+                new_states[name] = st
+            continue
+        if i not in kept:
+            continue
+        transitions: dict[str, Transition] = {}
+        for m, d in zip(machine.messages, dests[i]):
+            t = st.transitions[m]
+            to = names[d] if d >= 0 else t.to
+            transitions[m] = t if t.to == to else t._replace(to=to)
+        new_states[name] = State(name, transitions, notes[i])
+    return replace(machine, states=new_states)
 
 
 @dataclass(frozen=True)
@@ -477,8 +606,10 @@ class StageStats:
     initial counts the component space (every value combination) and
     after_prune the component states reachable from the start; the finish
     state is in neither, as it is no value combination.  final counts the
-    states of the delivered machine, finish state included.  generate_s and
-    merge_s are the seconds of forward generation and of the merge rounds.
+    states of the delivered machine, finish state included.  generate_s is
+    the seconds of the forward pass on ids (rules and state annotations),
+    and merge_s those of the merge rounds plus building the survivors
+    (names, transitions and their annotations); together they make millis.
     """
 
     fault_tolerance: int
@@ -511,25 +642,22 @@ def generate_with_stats(
 
     The machine is generate_reachable's, merged to a fixpoint; it equals
     minimize(generate_transitions(spec, rules, enumerate_states(spec), ...)).
-    Rules run on reachable states only, so a rule error on a state that is
-    never reached is not reported here (generate_transitions reports it).
+    The merge runs on ids, and only the surviving states are named and have
+    their transitions built and annotated.  Rules run on reachable states
+    only, so a rule error on a state that is never reached is not reported
+    here (generate_transitions reports it).
     """
     start = time.perf_counter()
-    pruned = generate_reachable(
-        spec,
-        rules,
-        annotate_state=annotate_state,
-        annotate_transition=annotate_transition,
-        finish_annotations=finish_annotations,
-    )
+    reached = _forward(spec, rules, annotate_state)
     generated = time.perf_counter()
-    machine, merge_counts = _merge_rounds(pruned)
+    survivors, merge_counts = _merge_ids(reached.acts, reached.dests, reached.notes)
+    machine = _build(spec, reached, survivors, annotate_transition, finish_annotations)
     end = time.perf_counter()
     stats = StageStats(
         fault_tolerance=spec.fault_tolerance,
         replication_factor=spec.replication_factor,
         initial=math.prod(len(c.domain()) for c in spec.components),
-        after_prune=state_counts(pruned)[1],
+        after_prune=len(reached.vectors),
         merge_passes=merge_counts,
         final=state_counts(machine)[0],
         passes=len(merge_counts) + 1,
@@ -538,4 +666,3 @@ def generate_with_stats(
         merge_s=end - generated,
     )
     return machine, stats
-

@@ -51,7 +51,9 @@ def render_text(machine: StateMachine, include_annotations: bool = True) -> str:
 
 
 def _quote(name: str) -> str:
-    return '"' + name.replace('"', '\\"') + '"'
+    """A DOT quoted string: backslashes doubled first, so that a name ending
+    in a backslash cannot escape the closing quote, then quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def render_dot(machine: StateMachine) -> str:

@@ -280,12 +280,18 @@ class TestGeneratedFamily:
 
     # Every count of the family is a polynomial in r and f; the merge
     # representatives, and so the pass count, follow the traversal order.
-    @pytest.mark.parametrize("r", range(4, 23))
+    # Rows past r = 22 are slow; the Moore-refinement oracle, 2.3 s alone at
+    # r = 100, checks the bisimulation classes up to r = 40.
+    @pytest.mark.parametrize("r", [
+        *range(4, 23),
+        *(pytest.param(r, marks=pytest.mark.slow) for r in (*range(23, 41), 61, 100)),
+    ])
     def test_closed_form_counts(self, r):
         f = (r - 1) // 3
         machine, stats = generate_with_stats(r)
         assert stats.after_prune == 6 * r * (f + 1)
         assert stats.final == (2 * f + 1) * (6 * f + 5) + 5 * (f + 1) * (r - 3 * f - 1)
         assert stats.passes == r + f + 1
-        classes = 8 * f * f + 12 * f + 5 + 4 * (f + 1) * (r - 3 * f - 1)
-        assert len(bisimulation_oracle(machine)) == classes
+        if r <= 40:
+            classes = 8 * f * f + 12 * f + 5 + 4 * (f + 1) * (r - 3 * f - 1)
+            assert len(bisimulation_oracle(machine)) == classes

@@ -183,9 +183,11 @@ class TestGenerateReachable:
         # the start state F reaches T, whose rule misbehaves
         spec = one_flag_spec()
         rules = {"SET": lambda s: result if s[0] else ((), (True,))}
-        with pytest.raises(GenerationError, match=match) as info:
-            generate_with_stats(spec, rules)
-        assert info.value.state == "T"
+        for generate in (generate_with_stats, generate_reachable):
+            with pytest.raises(GenerationError, match=match) as info:
+                generate(spec, rules)
+            assert (info.value.state, info.value.message) == ("T", "SET")
+            assert "'T'" in str(info.value)
 
     def test_rule_error_on_unreachable_state_goes_unreported(self):
         # T is never reached from F, so only the full-space stage sees its error
@@ -305,6 +307,7 @@ class TestMinimize:
     def test_idempotent(self, final4):
         again = minimize(final4)
         assert serialize(again) == serialize(final4)
+        assert again is final4  # nothing to prune or merge
 
     def test_result_validates(self, final4, final7):
         assert validate(final4) == []
@@ -363,25 +366,50 @@ def copied_layers_machine(rng):
 
 
 class TestMergeRounds:
-    @pytest.mark.parametrize("r", [4, 7, 13])
+    @pytest.mark.parametrize("r", range(4, 17))
     def test_equals_the_reprune_loop(self, r):
         raw = raw_machine(r)
         rounds = merge_rounds(raw)
-        assert minimize(raw) == rounds[-1]
+        reference = rounds[-1]
         machine, stats = bft.generate_with_stats(r)
-        assert machine == rounds[-1]
+        minimized = minimize(raw)
+        # minimize keeps its input's state order; generation's is breadth-first
+        assert list(minimized.states) == list(reference.states)
+        # == compares every state, transition and annotation
+        assert minimized == machine == reference
         assert list(stats.merge_passes) == [state_counts(m)[1] for m in rounds[1:]]
         assert stats.passes == len(rounds)
+        assert stats.after_prune == state_counts(rounds[0])[1]
 
     def test_equals_the_reprune_loop_on_random_machines(self):
         rng = random.Random(20261018)
         passes = []
+        unpruned = 0
         for _ in range(300):
             m = copied_layers_machine(rng)
+            unpruned += prune_unreachable(m) is not m
             rounds = merge_rounds(m)
-            assert minimize(m) == rounds[-1]
+            result = minimize(m)
+            assert result == rounds[-1]
+            assert list(result.states) == list(rounds[-1].states)
             passes.append(len(rounds))
         assert max(passes) >= 4  # the generator does exercise later rounds
+        assert unpruned >= 30  # and inputs with unreachable states
+
+    def test_annotates_only_the_survivors(self):
+        # r = 25: 1,350 reached states, 901 survive (FINISH included), and
+        # only the survivors' transitions are annotated, five messages each
+        spec, rules, kwargs = bft_pipeline_args(25)
+        calls = []
+
+        def annotate_transition(*args):
+            calls.append(args)
+            return bft.annotate_transition(*args)
+
+        kwargs["annotate_transition"] = annotate_transition
+        machine, stats = generate_with_stats(spec, rules, **kwargs)
+        assert (stats.after_prune, stats.final) == (1350, 901)
+        assert len(calls) == 5 * (stats.final - 1) == 4500
 
 
 class TestBisimulationOracle:

@@ -15,6 +15,8 @@ from commitfsm.fsm import (
     State,
     StateMachine,
     Transition,
+    deserialize,
+    serialize,
     validate,
 )
 from commitfsm.render import (
@@ -146,6 +148,23 @@ class TestDot:
 
     def test_deterministic(self, final4):
         assert render_dot(final4) == render_dot(final4)
+
+    def test_name_ending_in_a_backslash(self, final4):
+        # in DOT, \" inside a quoted string is an escaped quote, so a name
+        # ending in a backslash must not be written as "F/1\"
+        doc = serialize(final4).replace('"F/1/F/0/F/F/F"', '"F/1\\\\"')
+        machine = deserialize(doc)
+        assert "F/1\\" in machine.states and validate(machine) == []
+        quoted = re.compile(r'"((?:\\.|[^"\\])*)"')
+        nodes, ends = set(), set()
+        for line in render_dot(machine).splitlines()[3:-1]:
+            ids = [re.sub(r"\\(.)", r"\1", m) for m in quoted.findall(line)]
+            assert '"' not in quoted.sub("", line), line  # every quoted ID closes
+            if " -> " in line:
+                ends.update(ids[:2])
+            else:
+                nodes.add(ids[0])
+        assert nodes - {"__start"} == ends - {"__start"} == set(machine.states)
 
 
 class TestSource:
