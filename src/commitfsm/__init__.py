@@ -26,7 +26,6 @@ from .engine import (
     MetaModelSpec,
     StageStats,
     enumerate_states,
-    generate_reachable,
     generate_transitions,
     generate_with_stats,
     merge_equivalent_once,
@@ -54,7 +53,6 @@ __all__ = [
     "MetaModelSpec",
     "StageStats",
     "enumerate_states",
-    "generate_reachable",
     "generate_transitions",
     "generate_with_stats",
     "merge_equivalent_once",

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bft, render, sim
@@ -123,12 +124,15 @@ def _fault_plan(args) -> tuple[tuple[sim.Fault, ...], str]:
 
 def _cmd_simulate(args) -> int:
     r = args.replication_factor
-    total_faults = args.silent + args.crash + args.byzantine
-    if min(args.silent, args.crash, args.byzantine, args.seeds) < 0 or total_faults >= r:
-        print("error: fault counts must be non-negative and total fewer than r", file=sys.stderr)
+    if min(args.silent, args.crash, args.byzantine, args.seeds) < 0:
+        print("error: fault counts and --seeds must be non-negative", file=sys.stderr)
         return EXIT_USAGE
-    machine = bft.generate(r)
     faults, label = _fault_plan(args)
+    base = sim.SimConfig(
+        replication_factor=r, seed=args.seed, scenario=args.scenario,
+        faults=faults, delivery=args.delivery,
+    )
+    machine = bft.generate(r)
     trace_dir = Path(args.trace_dir) if args.trace_dir else None
     if trace_dir:
         try:
@@ -138,15 +142,8 @@ def _cmd_simulate(args) -> int:
             return EXIT_FAILURE
     first_failure = None
     stall_lines: list[str] = []
-    for i in range(args.seeds):
-        seed = args.seed + i
-        config = sim.SimConfig(
-            replication_factor=r,
-            seed=seed,
-            scenario=args.scenario,
-            faults=faults,
-            delivery=args.delivery,
-        )
+    for seed in range(args.seed, args.seed + args.seeds):
+        config = replace(base, seed=seed)
         trace = sim.run_simulation(machine, config)
         verdict = sim.check_agreement(trace, config)
         print(f"{args.scenario},{r},{label},{seed},{verdict}")
@@ -198,7 +195,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except bft.ParameterError as exc:
+    except (bft.ParameterError, sim.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

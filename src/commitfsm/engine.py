@@ -27,11 +27,10 @@ state ids:
 - _build names the survivors and builds and annotates their transitions;
   the states merged away are never named.
 
-generate_reachable (every id built) and minimize (a named machine turned
-into ids) use the same kernel.
+minimize (a named machine turned into ids) uses the same merge kernel.
 
-Every stage is a pure function from machine to machine, so independent
-generations can run concurrently without shared state.
+No stage keeps state between calls (_merge_ids updates only the lists its
+caller built for it), so independent generations can run concurrently.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from typing import Callable, Mapping, NamedTuple
 from .fsm import (
     FINISH,
     ComponentSpec,
-    DomainError,
     State,
     StateMachine,
     Transition,
@@ -100,6 +98,7 @@ class MetaModelSpec:
             c.contains(v) for v, c in zip(self.start_vector, self.components)
         ):
             raise SpecError("start_vector is not a valid component assignment")
+        object.__setattr__(self, "start_vector", tuple(self.start_vector))
 
 
 def enumerate_states(spec: MetaModelSpec) -> list[tuple]:
@@ -111,48 +110,6 @@ def _check_rules(spec: MetaModelSpec, rules: TransitionRuleSet) -> None:
     missing = [m for m in spec.messages if m not in rules]
     if missing:
         raise SpecError(f"rule set lacks rules for messages {missing}")
-
-
-def _apply_rules(
-    spec: MetaModelSpec,
-    rules: TransitionRuleSet,
-    vector: tuple,
-    name: str,
-    dest_of: Callable[[tuple], str | None],
-    action_set: set[str],
-    annotate_state: StateAnnotator | None,
-    annotate_transition: TransitionAnnotator | None,
-) -> State:
-    """The state of vector: one checked transition per message.
-
-    dest_of names a successor vector, or returns None when it lies outside
-    the component domain.
-    """
-    transitions: dict[str, Transition] = {}
-    for message in spec.messages:
-        actions, succ = rules[message](vector)
-        actions = tuple(actions)
-        for action in actions:
-            if action not in action_set:
-                raise GenerationError(name, message, f"undeclared action {action!r}")
-        if isinstance(succ, str):
-            if succ != FINISH:
-                raise GenerationError(name, message, f"bad successor {succ!r}")
-            dest = FINISH
-        else:
-            dest = dest_of(succ)
-            if dest is None:
-                raise GenerationError(
-                    name, message, f"successor {succ!r} outside the component domain"
-                )
-        notes = (
-            tuple(annotate_transition(vector, message, actions, succ))
-            if annotate_transition
-            else ()
-        )
-        transitions[message] = Transition(message, actions, dest, notes)
-    notes = tuple(annotate_state(vector)) if annotate_state else ()
-    return State(name, transitions, notes)
 
 
 def generate_transitions(
@@ -179,10 +136,31 @@ def generate_transitions(
     state_map: dict[str, State] = {}
     for vector in states:
         name = name_of[vector]
-        state_map[name] = _apply_rules(
-            spec, rules, vector, name, name_of.get, action_set,
-            annotate_state, annotate_transition,
-        )
+        transitions: dict[str, Transition] = {}
+        for message in spec.messages:
+            actions, succ = rules[message](vector)
+            actions = tuple(actions)
+            for action in actions:
+                if action not in action_set:
+                    raise GenerationError(name, message, f"undeclared action {action!r}")
+            if isinstance(succ, str):
+                if succ != FINISH:
+                    raise GenerationError(name, message, f"bad successor {succ!r}")
+                dest = FINISH
+            else:
+                dest = name_of.get(succ)
+                if dest is None:
+                    raise GenerationError(
+                        name, message, f"successor {succ!r} outside the component domain"
+                    )
+            notes = (
+                tuple(annotate_transition(vector, message, actions, succ))
+                if annotate_transition
+                else ()
+            )
+            transitions[message] = Transition(message, actions, dest, notes)
+        notes = tuple(annotate_state(vector)) if annotate_state else ()
+        state_map[name] = State(name, transitions, notes)
 
     state_map[FINISH] = State(FINISH, {}, tuple(finish_annotations))
     start = name_of.get(spec.start_vector)
@@ -260,15 +238,11 @@ def _forward(
     _check_rules(spec, rules)
     components = spec.components
     domains = [c.domain() for c in components]
-    start = _domain_vector(spec.start_vector, domains)
-    if start is None:
-        raise SpecError("start_vector is not a valid component assignment")
-    messages = spec.messages
-    message_rules = [(m, rules[m]) for m in messages]
+    message_rules = [(m, rules[m]) for m in spec.messages]
     action_set = set(spec.actions)
     checked: dict[tuple, tuple[str, ...]] = {}
-    id_of = {start: 0}
-    vectors = [start]
+    id_of = {spec.start_vector: 0}
+    vectors = [spec.start_vector]
     acts, dests, succs, notes = [], [], [], []
     reaches_finish = False
 
@@ -448,27 +422,6 @@ def _build(
     )
 
 
-def generate_reachable(
-    spec: MetaModelSpec,
-    rules: TransitionRuleSet,
-    *,
-    annotate_state: StateAnnotator | None = None,
-    annotate_transition: TransitionAnnotator | None = None,
-    finish_annotations: tuple[str, ...] = (),
-) -> StateMachine:
-    """The pruned machine, generated forward from the start vector.
-
-    Equal to prune_unreachable(generate_transitions(spec, rules,
-    enumerate_states(spec), ...)), but rules and annotators run only on
-    states reachable from the start (see _forward for the checks made on
-    each).  A rule error on a state that is never reached goes unreported.
-    """
-    reached = _forward(spec, rules, annotate_state)
-    return _build(
-        spec, reached, list(range(len(reached.vectors))), annotate_transition, finish_annotations
-    )
-
-
 def prune_unreachable(machine: StateMachine) -> StateMachine:
     """Drop every state not reachable from the start state by forward traversal."""
     reachable = set(reachable_names(machine))
@@ -640,8 +593,8 @@ def generate_with_stats(
 ) -> tuple[StateMachine, StageStats]:
     """Run the full pipeline and record per-stage statistics.
 
-    The machine is generate_reachable's, merged to a fixpoint; it equals
-    minimize(generate_transitions(spec, rules, enumerate_states(spec), ...)).
+    The machine equals minimize(generate_transitions(spec, rules,
+    enumerate_states(spec), ...)).
     The merge runs on ids, and only the surviving states are named and have
     their transitions built and annotated.  Rules run on reachable states
     only, so a rule error on a state that is never reached is not reported

@@ -76,10 +76,10 @@ class SimConfig:
         nodes = [f.node for f in self.faults]
         if len(set(nodes)) != len(nodes):
             raise ConfigError("fault plan names a node twice")
-        if any(n < 0 or n >= self.replication_factor for n in nodes):
-            raise ConfigError("fault plan names a node outside the cluster")
         if len(nodes) >= self.replication_factor:
             raise ConfigError("fault count must be smaller than the cluster size")
+        if any(n < 0 or n >= self.replication_factor for n in nodes):
+            raise ConfigError("fault plan names a node outside the cluster")
 
     @property
     def updates(self) -> tuple[str, ...]:
@@ -193,7 +193,7 @@ class SlotController:
     def on_finish(self, update: str) -> list[tuple[str, str]]:
         self.pending.discard(update)
         self.finished.add(update)
-        if self.granted == update or self.granted in self.finished:
+        if self.granted == update:
             self.granted = None
         return self._pump()
 

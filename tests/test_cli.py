@@ -270,6 +270,21 @@ class TestSimulate:
     def test_too_many_faults(self, capsys):
         rc = main(["simulate", "-r", "4", "--silent", "2", "--crash", "2"])
         assert rc == 2
+        assert "smaller than the cluster size" in _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--silent", "4"], "smaller than the cluster size"),
+            (["--silent", "2", "--crash", "3"], "smaller than the cluster size"),
+            (["--silent", "2", "--crash", "2", "--seeds", "0"], "smaller than the cluster size"),
+            (["--silent", "-1"], "non-negative"),
+            (["--seeds", "-1"], "non-negative"),
+        ],
+    )
+    def test_bad_fault_flags_exit_2(self, flags, reason, capsys):
+        assert main(["simulate", "-r", "4", *flags]) == 2
+        assert reason in _assert_one_error_line(capsys)
 
     def test_trace_directory(self, tmp_path, capsys):
         rc = main(["simulate", "-r", "4", "--seeds", "2", "--trace-dir", str(tmp_path)])

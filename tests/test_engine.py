@@ -1,7 +1,10 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commitfsm import bft
 from commitfsm.engine import (
@@ -9,7 +12,6 @@ from commitfsm.engine import (
     MetaModelSpec,
     SpecError,
     enumerate_states,
-    generate_reachable,
     generate_transitions,
     generate_with_stats,
     merge_equivalent_once,
@@ -35,6 +37,7 @@ from reference import (
     raw_machine,
     signature_groups,
 )
+from test_render import _notes, valid_machines
 
 
 def one_flag_spec():
@@ -135,16 +138,7 @@ class TestGenerateTransitions:
 
 
 class TestGenerateReachable:
-    @pytest.mark.parametrize("r", [4, 7, 13])
-    def test_equals_the_pruned_raw_machine(self, r):
-        spec, rules, kwargs = bft_pipeline_args(r)
-        forward = generate_reachable(spec, rules, **kwargs)
-        pruned = prune_unreachable(raw_machine(r))
-        assert set(forward.states) == set(pruned.states)
-        for name, st in pruned.states.items():
-            assert forward.states[name].transitions == st.transitions, name
-            assert forward.states[name].annotations == st.annotations, name
-        assert forward == pruned
+    """generate_with_stats runs the rules forward from the start vector only."""
 
     def test_initial_is_the_component_space(self):
         for r in (4, 7):
@@ -153,19 +147,17 @@ class TestGenerateReachable:
 
     def test_finish_state_only_when_reached(self):
         spec = one_flag_spec()
-        machine = generate_reachable(spec, {"SET": lambda s: ((), (True,))})
+        machine, _ = generate_with_stats(spec, {"SET": lambda s: ((), (True,))})
         assert set(machine.states) == {"F", "T"}
-        machine = generate_reachable(spec, {"SET": lambda s: ((), FINISH)})
+        machine, _ = generate_with_stats(spec, {"SET": lambda s: ((), FINISH)})
         assert set(machine.states) == {"F", FINISH}
 
     def test_successor_equal_to_a_domain_vector(self):
         # 1 == True: the successor names state T, as in generate_transitions
         spec = one_flag_spec()
         rules = {"SET": lambda s: ((), (1,))}
-        forward = generate_reachable(spec, rules)
-        assert forward == prune_unreachable(
-            generate_transitions(spec, rules, enumerate_states(spec))
-        )
+        forward, _ = generate_with_stats(spec, rules)
+        assert forward == minimize(generate_transitions(spec, rules, enumerate_states(spec)))
         assert forward.states["F"].transitions["SET"].to == "T"
 
     @pytest.mark.parametrize(
@@ -183,11 +175,10 @@ class TestGenerateReachable:
         # the start state F reaches T, whose rule misbehaves
         spec = one_flag_spec()
         rules = {"SET": lambda s: result if s[0] else ((), (True,))}
-        for generate in (generate_with_stats, generate_reachable):
-            with pytest.raises(GenerationError, match=match) as info:
-                generate(spec, rules)
-            assert (info.value.state, info.value.message) == ("T", "SET")
-            assert "'T'" in str(info.value)
+        with pytest.raises(GenerationError, match=match) as info:
+            generate_with_stats(spec, rules)
+        assert (info.value.state, info.value.message) == ("T", "SET")
+        assert "'T'" in str(info.value)
 
     def test_rule_error_on_unreachable_state_goes_unreported(self):
         # T is never reached from F, so only the full-space stage sees its error
@@ -203,12 +194,21 @@ class TestGenerateReachable:
         with pytest.raises(SpecError, match="SET"):
             generate_with_stats(one_flag_spec(), {})
 
-    def test_bad_start_vector_rejected(self):
-        spec = one_flag_spec()
-        # MetaModelSpec rejects it on construction; this bypasses that check
-        object.__setattr__(spec, "start_vector", (3,))
-        with pytest.raises(SpecError, match="start_vector"):
-            generate_with_stats(spec, {"SET": lambda s: ((), s)})
+    def test_start_vector_given_as_a_list(self):
+        # the spec stores it as a tuple, so both paths can look it up
+        spec = MetaModelSpec(
+            components=(ComponentSpec("flag", BOOLEAN),),
+            messages=("SET",),
+            actions=(),
+            replication_factor=4,
+            fault_tolerance=1,
+            start_vector=[False],
+        )
+        assert spec.start_vector == (False,)
+        rules = {"SET": lambda s: ((), (not s[0],))}
+        machine, _ = generate_with_stats(spec, rules)
+        assert machine == minimize(generate_transitions(spec, rules, enumerate_states(spec)))
+        assert set(machine.states) == {"F", "T"}
 
 
 class TestPrune:
@@ -300,6 +300,27 @@ class TestMerge:
         assert FINISH in final4.states
 
 
+@st.composite
+def machines_with_copies(draw):
+    """A valid_machines() draw in which every state but the finish has a
+    copy with the same actions and notes of its own, and each transition
+    leads to the original or the copy of its destination, so that states
+    merge, some only after their successors did."""
+    machine = draw(valid_machines())
+    finish = machine.finish_state
+    states = {finish: machine.states[finish]}
+    for name, state in machine.states.items():
+        if name == finish:
+            continue
+        for copy in (name, name + "'"):  # drawn names never hold "'"
+            transitions = {
+                m: t if t.to == finish else t._replace(to=t.to + draw(st.sampled_from(["", "'"])))
+                for m, t in state.transitions.items()
+            }
+            states[copy] = State(copy, transitions, draw(_notes))
+    return replace(machine, states=states)
+
+
 class TestMinimize:
     def test_family_r4_minimizes_to_33(self, final4):
         assert state_counts(final4)[0] == 33
@@ -325,6 +346,17 @@ class TestMinimize:
     def test_pipeline_equals_stage_composition(self, raw4, final4):
         composed = minimize(prune_unreachable(raw4))
         assert serialize(composed) == serialize(final4)
+
+    @settings(deadline=None)
+    @given(machines_with_copies())
+    def test_properties_on_drawn_machines(self, machine):
+        result = minimize(machine)
+        assert validate(result) == []
+        assert minimize(result) is result
+        assert result == merge_rounds(machine)[-1]
+        for n in range(1, 5):
+            for seq in itertools.product(machine.messages, repeat=n):
+                assert action_trace(result, seq) == action_trace(machine, seq)
 
 
 def copied_layers_machine(rng):
