@@ -8,58 +8,6 @@ annotated text, DOT diagrams or a runnable Python module, and exercised in
 a deterministic fault-injecting network simulation.
 """
 
-from .fsm import (
-    FINISH,
-    ComponentSpec,
-    State,
-    StateMachine,
-    Transition,
-    deserialize,
-    parse_state_name,
-    serialize,
-    state_counts,
-    state_name,
-    step,
-    validate,
-)
-from .engine import (
-    MetaModelSpec,
-    StageStats,
-    enumerate_states,
-    generate_transitions,
-    generate_with_stats,
-    merge_equivalent_once,
-    minimize,
-    prune_unreachable,
-)
-from .bft import BftParameters, bft_spec, fault_tolerance, transition_rules
-from . import bft, render, sim
+from . import bft, engine, fsm, render, sim
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FINISH",
-    "ComponentSpec",
-    "State",
-    "StateMachine",
-    "Transition",
-    "deserialize",
-    "parse_state_name",
-    "serialize",
-    "state_counts",
-    "state_name",
-    "step",
-    "validate",
-    "MetaModelSpec",
-    "StageStats",
-    "enumerate_states",
-    "generate_transitions",
-    "generate_with_stats",
-    "merge_equivalent_once",
-    "minimize",
-    "prune_unreachable",
-    "BftParameters",
-    "bft_spec",
-    "fault_tolerance",
-    "transition_rules",
-]

@@ -198,7 +198,3 @@ def main(argv=None) -> int:
     except (bft.ParameterError, sim.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,7 +23,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .bft import ACTIONS, BftParameters, fault_tolerance
-from .fsm import FINISH, StateMachine, action_message, sink_method, step
+from .fsm import StateMachine, action_message, sink_method, step
 
 SILENT = "silent"
 CRASH = "crash"
@@ -459,18 +459,19 @@ def stall_report(trace: SimTrace, config: SimConfig) -> list[str]:
 def check_quorum_safety(trace: SimTrace, vote_threshold: int, commit_threshold: int) -> list[str]:
     """Trace-level re-check of the commit thresholds for correct nodes.
 
-    A correct node may emit SEND_COMMIT only when its total vote count (own
-    vote included) has reached the vote threshold or, on the commit that
-    finishes it, its received commit count has reached the external commit
-    threshold.  The counts are shadow counts per (node, update) of the VOTE
-    and COMMIT deliveries and of the node's own SEND_VOTE in the trace's
-    events, not values read from state names.
+    A correct node may emit SEND_COMMIT on a COMMIT delivery only when its
+    received commit count has reached the commit threshold (the echo of the
+    commit that finishes it), and on any other delivery only when its total
+    vote count (own vote included) has reached the vote threshold.  The
+    counts are shadow counts per (node, update) of the VOTE and COMMIT
+    deliveries and of the node's own SEND_VOTE in the trace's events; no
+    state name is read, the finish state's included.
     """
     violations = []
     faulty = trace.faulty
     delivered: dict[tuple, int] = {}
     voted: set[tuple] = set()
-    for step_no, _, node, message, update, _, after, actions in trace.events:
+    for step_no, _, node, message, update, _, _, actions in trace.events:
         if node in faulty:
             continue
         key = (node, update, message)
@@ -481,10 +482,9 @@ def check_quorum_safety(trace: SimTrace, vote_threshold: int, commit_threshold: 
             voted.add((node, update))
         if "SEND_COMMIT" not in actions:
             continue
-        if after == FINISH:
-            if message == "COMMIT" and delivered[key] >= commit_threshold:
-                continue
-            violations.append(f"step {step_no}: commit echo without threshold")
+        if message == "COMMIT":
+            if delivered[key] < commit_threshold:
+                violations.append(f"step {step_no}: commit echo without threshold")
             continue
         total = delivered.get((node, update, "VOTE"), 0) + ((node, update) in voted)
         if total < vote_threshold:

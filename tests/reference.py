@@ -1,9 +1,10 @@
 """The stage-by-stage reference path that tests compare the pipeline against:
 every component vector through the rules (raw_machine), then prune and
-merge rounds to a fixpoint (merge_rounds); and a bisimulation oracle."""
+merge rounds to a fixpoint (merge_rounds); a bisimulation oracle; and an
+exact product walk of a machine against its rules (product_check)."""
 
 from commitfsm import bft, engine
-from commitfsm.fsm import step
+from commitfsm.fsm import FINISH, step
 
 
 def bft_pipeline_args(r):
@@ -105,3 +106,33 @@ def bisimulation_oracle(machine):
         classes.setdefault(idx, []).append(name)
     parts = [frozenset(names) for names in classes.values()]
     return tuple(sorted(parts, key=min))
+
+
+def product_check(machine, spec, rules):
+    """Decide exactly that machine runs the rules from spec's start vector.
+
+    Walks (rule vector, machine state) pairs breadth-first from (start
+    vector, start state), in the manner of Hopcroft and Karp's 1971
+    equivalence test.  For every pair and message the rule and the machine
+    must perform the same actions, and the rule must return FINISH exactly
+    when the machine reaches its finish state.  Both sides are
+    deterministic, so every message sequence then yields the same actions
+    on both.  Returns the number of pairs reached short of the finish: for
+    a machine the pipeline generated, its after_prune count.
+    """
+    assert machine.messages == spec.messages
+    finish = machine.finish_state
+    start = (spec.start_vector, machine.start_state)
+    order = [start]
+    seen = {start}
+    for vector, state in order:  # appended to while it is read
+        for message in spec.messages:
+            want, succ = rules[message](vector)
+            actions, nxt = step(machine, state, message)
+            assert tuple(want) == actions, (vector, state, message)
+            assert (succ == FINISH) == (nxt == finish), (vector, state, message)
+            pair = (succ, nxt)
+            if nxt != finish and pair not in seen:
+                seen.add(pair)
+                order.append(pair)
+    return len(order)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from commitfsm import engine
@@ -18,7 +20,7 @@ from commitfsm.bft import (
     transition_rules,
 )
 from commitfsm.fsm import FINISH, state_counts, state_name
-from reference import bisimulation_oracle
+from reference import bft_pipeline_args, bisimulation_oracle, product_check
 
 
 class TestParameters:
@@ -295,3 +297,24 @@ class TestGeneratedFamily:
         if r <= 40:
             classes = 8 * f * f + 12 * f + 5 + 4 * (f + 1) * (r - 3 * f - 1)
             assert len(bisimulation_oracle(machine)) == classes
+
+    # Exact equivalence with the rules, where criterion 6 samples sequences.
+    @pytest.mark.parametrize("r", [
+        *range(4, 23),
+        *(pytest.param(r, marks=pytest.mark.slow) for r in (46, 61, 100)),
+    ])
+    def test_product_check(self, r):
+        machine, stats = generate_with_stats(r)
+        spec, rules, _ = bft_pipeline_args(r)
+        assert product_check(machine, spec, rules) == stats.after_prune
+
+    def test_product_check_finds_a_changed_transition(self):
+        machine = generate_with_stats(4)[0]
+        spec, rules, _ = bft_pipeline_args(4)
+        name = "T/2/F/0/F/F/F"
+        state = machine.states[name]
+        vote = state.transitions["VOTE"]._replace(actions=("SEND_VOTE",))
+        states = {**machine.states, name: state._replace(
+            transitions={**state.transitions, "VOTE": vote})}
+        with pytest.raises(AssertionError):
+            product_check(replace(machine, states=states), spec, rules)

@@ -302,6 +302,15 @@ class TestSimulate:
         assert rc == 1
         assert "trace directory" in _assert_one_error_line(capsys)
 
+    def test_trace_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "trace-single_update-r4-seed0.txt").mkdir()
+        rc = main(["simulate", "-r", "4", "--seeds", "1", "--trace-dir", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "single_update,4,none,0,PASS\n"
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: cannot write ") and "seed0.txt" in line
+
     def test_trace_determinism(self, tmp_path, capsys):
         a = tmp_path / "a"
         b = tmp_path / "b"

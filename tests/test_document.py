@@ -18,7 +18,9 @@ from commitfsm.fsm import (
     Transition,
     deserialize,
     serialize,
+    validate,
 )
+from commitfsm.render import render_dot, render_text
 
 
 def reference_document(machine: StateMachine) -> str:
@@ -117,6 +119,56 @@ def machines(draw) -> StateMachine:
     )
 
 
+# Names drawn from a small pool, and the document's own names, resolve often
+# enough for some documents to validate; arbitrary text gives the odd ones.
+_names = st.sampled_from(("A", "B", FINISH)) | texts
+_messages = st.sampled_from(("GO", "STAY")) | texts
+_actions = st.sampled_from(("SEND_GO", "ACT")) | texts
+
+
+@st.composite
+def documents(draw) -> dict:
+    """A document object deserialize accepts that may still be no machine:
+    repeated, undeclared or missing messages, dangling destinations, a
+    finish state with transitions, any start and finish."""
+    messages = draw(st.lists(_messages, max_size=3))
+    actions = draw(st.lists(_actions, max_size=3))
+    names = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
+    # a declared name three times in four, any other name the fourth
+    name = st.one_of(*[st.sampled_from(names)] * 3, _names)
+    message_sets = st.lists(_messages, max_size=3, unique=True)
+    if messages:
+        message_sets |= st.just(list(dict.fromkeys(messages)))
+    states = []
+    for state in names:
+        transitions = [
+            {
+                "message": message,
+                "actions": draw(st.lists(st.sampled_from(actions) if actions else _actions,
+                                         max_size=2)),
+                "to": draw(name),
+                "annotations": draw(st.lists(texts, max_size=1)),
+            }
+            for message in draw(message_sets | st.just([]))
+        ]
+        states.append({"name": state, "annotations": draw(st.lists(texts, max_size=2)),
+                       "transitions": transitions})
+    return {
+        "replication_factor": draw(st.integers(0, 100)),
+        "fault_tolerance": draw(st.integers(0, 33)),
+        "components": [
+            {"name": c.name, "kind": c.kind,
+             **({} if c.max_value is None else {"max": c.max_value})}
+            for c in draw(components)
+        ],
+        "messages": messages,
+        "actions": actions,
+        "start_state": draw(name),
+        "finish_state": draw(name),
+        "states": states,
+    }
+
+
 FINISH_ONLY = StateMachine(
     replication_factor=4,
     fault_tolerance=1,
@@ -136,6 +188,18 @@ NO_STATES = StateMachine(
     states={},
     start_state="",
 )
+
+
+@settings(deadline=None)
+@given(documents())
+@example(json.loads(serialize(NO_STATES)))
+def test_validate_reports_and_never_raises(doc):
+    machine = deserialize(json.dumps(doc))
+    diags = validate(machine)
+    assert isinstance(diags, list) and all(isinstance(d, str) for d in diags)
+    if not diags:
+        assert isinstance(render_text(machine), str)
+        assert isinstance(render_dot(machine), str)
 
 
 @settings(deadline=None)

@@ -98,6 +98,17 @@ class TestEnumerate:
                 start_vector=(3,),
             )
 
+    def test_duplicate_component_names_rejected(self):
+        with pytest.raises(SpecError, match="duplicate component name 'flag'"):
+            MetaModelSpec(
+                components=(ComponentSpec("flag", BOOLEAN), ComponentSpec("flag", BOOLEAN)),
+                messages=("GO",),
+                actions=(),
+                replication_factor=4,
+                fault_tolerance=1,
+                start_vector=(False, False),
+            )
+
 
 class TestGenerateTransitions:
     def test_totality(self, raw4):
@@ -135,6 +146,18 @@ class TestGenerateTransitions:
         spec = one_flag_spec()
         with pytest.raises(SpecError, match="SET"):
             generate_transitions(spec, {}, enumerate_states(spec))
+
+    def test_string_successor_other_than_finish_rejected(self):
+        spec = one_flag_spec()
+        rules = {"SET": lambda s: ((), "DONE")}
+        with pytest.raises(GenerationError, match="bad successor 'DONE'"):
+            generate_transitions(spec, rules, enumerate_states(spec))
+
+    def test_states_without_the_start_vector_rejected(self):
+        spec = one_flag_spec()
+        rules = {"SET": lambda s: ((), (True,))}
+        with pytest.raises(SpecError, match="start_vector is not among"):
+            generate_transitions(spec, rules, [(True,)])
 
 
 class TestGenerateReachable:

@@ -81,6 +81,10 @@ class TestParseStateName:
         with pytest.raises(DomainError):
             parse_state_name("T/9/F/0/F/F/F", COMPONENTS)
 
+    def test_integer_field_that_is_no_integer(self):
+        with pytest.raises(DomainError, match="expected an integer, got 'x'"):
+            parse_state_name("T/x/F/0/F/F/F", COMPONENTS)
+
     def test_wrong_field_count(self):
         with pytest.raises(DomainError):
             parse_state_name("T/2/F", COMPONENTS)
@@ -194,6 +198,11 @@ class TestValidate:
         diags = validate(m)
         assert any("undeclared message 'JUMP'" in d for d in diags)
         assert any("unreachable" in d for d in diags)
+
+    def test_missing_start_reaches_nothing(self):
+        m = tiny_machine()
+        m.start_state = "NOWHERE"
+        assert reachable_names(m) == []
 
 
 class TestSerialize:

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import string
+import sys
 import types
 
 import pytest
@@ -17,6 +18,7 @@ from commitfsm.fsm import (
     Transition,
     deserialize,
     serialize,
+    step,
     validate,
 )
 from commitfsm.render import (
@@ -230,6 +232,36 @@ class TestSource:
 
     def test_deterministic(self, final4):
         assert render_source(final4) == render_source(final4)
+
+    # Every (state, message) pair once, where criterion 8 samples sequences.
+    @pytest.mark.parametrize("r", [4, 7, pytest.param(46, marks=pytest.mark.slow)])
+    def test_every_state_and_message_matches_step(self, r, tmp_path):
+        machine = bft.generate(r)
+        # Each elif nests one level deeper: CPython 3.10 and 3.11 compile the
+        # 2,944-branch handlers of r = 46 from a shallow stack only, so the
+        # limit is raised for the import (the compile depth is not tested here).
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 10_000))
+        try:
+            module = import_generated(machine, tmp_path)
+        finally:
+            sys.setrecursionlimit(limit)
+        sink = sim.RecordingSink()
+        gen = module.create(sink)
+        finish = machine.finish_state
+        for state in machine.states:
+            for message in machine.messages:
+                gen.set_state(state)
+                if state == finish:
+                    with pytest.raises(RuntimeError, match="already finished"):
+                        gen.receive(message)
+                    continue
+                sink.calls.clear()
+                sink.finished = False
+                gen.receive(message)
+                actions, nxt = step(machine, state, message)
+                assert (tuple(sink.calls), gen.get_state(), sink.finished) == (
+                    actions, nxt, nxt == finish), (state, message)
 
     def test_any_declared_action_becomes_a_sink_method(self, tmp_path):
         machine = tiny_machine()

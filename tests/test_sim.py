@@ -5,14 +5,20 @@ import pytest
 
 import trace_digest
 from commitfsm import bft
-from commitfsm.fsm import UnknownStateError, action_message, deserialize, serialize, validate
+from commitfsm.fsm import (
+    FINISH,
+    UnknownStateError,
+    action_message,
+    deserialize,
+    serialize,
+    validate,
+)
 from commitfsm.sim import (
     BYZANTINE,
     CONCURRENT_UPDATES,
     CRASH,
     CRASHED,
     DELIVERY_MODES,
-    FINISH,
     FINISHED,
     RANDOM_INTERLEAVE,
     SCENARIOS,
@@ -172,6 +178,40 @@ class TestRunSimulation:
         assert check_quorum_safety(doctored, *thresholds) == [
             f"step {echo.step}: commit echo without threshold"
         ]
+
+    @pytest.mark.parametrize("delivery", DELIVERY_MODES)
+    def test_quorum_check_reads_no_finish_name(self, final4, params4, delivery):
+        # the finishing echo is told by its COMMIT delivery, so a finish
+        # state of another name leaves the verdicts as they are
+        renamed = deserialize(serialize(final4).replace('"FINISH"', '"DONE"'))
+        thresholds = (params4.vote_threshold, params4.commit_threshold)
+        for scenario in SCENARIOS:
+            for seed in range(10):
+                cfg = SimConfig(4, seed, scenario, faults=(Fault(3, BYZANTINE),),
+                                delivery=delivery)
+                assert check_quorum_safety(run_simulation(renamed, cfg), *thresholds) == []
+                assert check_quorum_safety(run_simulation(final4, cfg), *thresholds) == []
+
+    def test_action_that_broadcasts_nothing(self, final4):
+        # a declared action without the SEND_ prefix is recorded in the
+        # trace but puts no message on the network
+        start = final4.states[final4.start_state]
+        put = start.transitions["PUT"]
+        logged = put._replace(actions=put.actions + ("LOG",))
+        machine = dataclasses.replace(
+            final4,
+            actions=final4.actions + ("LOG",),
+            states={**final4.states, start.name: start._replace(
+                transitions={**start.transitions, "PUT": logged})},
+        )
+        assert validate(machine) == []
+        cfg = SimConfig(4, 0)
+        want = run_simulation(final4, cfg)
+        got = run_simulation(machine, cfg)
+        assert any(e.actions == put.actions + ("LOG",) for e in got.events)
+        assert [e._replace(actions=tuple(a for a in e.actions if a != "LOG"))
+                for e in got.events] == list(want.events)
+        assert got.counters == want.counters
 
     def test_dangling_destination_raises_the_interpreters_error(self, final4):
         start = final4.states[final4.start_state]
@@ -375,6 +415,14 @@ class TestStallReport:
         votes = sum(e.receiver == 1 and e.update == "U1" and e.message == "VOTE"
                     for e in trace.events)
         assert line.startswith(f"liveness: node 1 is STUCK on U1: {votes} VOTE delivered")
+
+    def test_stuck_node_with_every_update_finished_reports_nothing(self, final4):
+        # only a doctored trace has a STUCK node whose finish order is complete
+        cfg = SimConfig(replication_factor=4, seed=3)
+        trace = run_simulation(final4, cfg)
+        doctored = dataclasses.replace(trace, statuses={**trace.statuses, 1: STUCK})
+        assert doctored.finish_orders[1] == ("U0",)
+        assert stall_report(doctored, cfg) == []
 
     def test_safety_names_two_nodes(self, final4):
         cfg = SimConfig(replication_factor=4, seed=3, scenario=CONCURRENT_UPDATES)
