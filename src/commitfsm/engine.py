@@ -19,8 +19,7 @@ state ids:
 - _forward applies the rules breadth-first from the start vector, so
   stages 1-3 touch reachable states only.  It numbers each vector in the
   order it is first reached, which is reachable_names order and so the
-  merge rank, and keeps per id only actions, destination ids, the rules'
-  raw successors and the state's annotations.
+  merge rank, and keeps per id only actions, destination ids and notes.
 - _merge_ids runs the merge rounds on those ids, re-signing after each
   round only the states whose successors were renamed, without re-pruning
   (see there for why a merge round never strands a survivor).
@@ -158,7 +157,7 @@ def generate_transitions(
                 if annotate_transition
                 else ()
             )
-            transitions[message] = Transition(message, actions, dest, notes)
+            transitions[message] = Transition(actions, dest, notes)
         notes = tuple(annotate_state(vector)) if annotate_state else ()
         state_map[name] = State(name, transitions, notes)
 
@@ -209,14 +208,14 @@ class _Reached(NamedTuple):
 
     For id i: vectors[i] is the state vector, acts[i] the action tuple of
     each message in declared order, dests[i] the destination id of each
-    message (_FINISH_ID for FINISH), succs[i] the successors exactly as the
-    rules returned them, and notes[i] the state's annotations.
+    message (_FINISH_ID for FINISH) and notes[i] the state's annotations.
+    A successor is kept only as the id of the domain vector it equals (the
+    vector annotate_state sees); a rule returning domain types loses nothing.
     """
 
     vectors: list[tuple]
     acts: list[tuple[tuple[str, ...], ...]]
     dests: list[list[int]]
-    succs: list[list]
     notes: list[tuple[str, ...]]
     reaches_finish: bool
 
@@ -243,14 +242,14 @@ def _forward(
     checked: dict[tuple, tuple[str, ...]] = {}
     id_of = {spec.start_vector: 0}
     vectors = [spec.start_vector]
-    acts, dests, succs, notes = [], [], [], []
+    acts, dests, notes = [], [], []
     reaches_finish = False
 
     def fail(vector, message, detail):
         return GenerationError(state_name(vector, components), message, detail)
 
     for vector in vectors:  # appended to while it is read
-        row_acts, row_dests, row_succs = [], [], []
+        row_acts, row_dests = [], []
         for message, rule in message_rules:
             actions, succ = rule(vector)
             actions = tuple(actions)
@@ -277,12 +276,10 @@ def _forward(
                     vectors.append(reached)
             row_acts.append(known)
             row_dests.append(dest)
-            row_succs.append(succ)
         acts.append(tuple(row_acts))
         dests.append(row_dests)
-        succs.append(row_succs)
         notes.append(tuple(annotate_state(vector)) if annotate_state else ())
-    return _Reached(vectors, acts, dests, succs, notes, reaches_finish)
+    return _Reached(vectors, acts, dests, notes, reaches_finish)
 
 
 def _merge_ids(
@@ -391,7 +388,7 @@ def _build(
     transitions built and annotated, in id order, the finish state last."""
     components = spec.components
     messages = spec.messages
-    vectors, acts, dests, succs, notes, reaches_finish = reached
+    vectors, acts, dests, notes, reaches_finish = reached
     # names[_FINISH_ID] is the last entry
     names: list[str | None] = [None] * len(vectors) + [FINISH]
     for i in ids:
@@ -400,13 +397,14 @@ def _build(
     for i in ids:
         vector = vectors[i]
         transitions: dict[str, Transition] = {}
-        for message, actions, dest, succ in zip(messages, acts[i], dests[i], succs[i]):
+        for message, actions, dest in zip(messages, acts[i], dests[i]):
+            succ = FINISH if dest < 0 else vectors[dest]
             note = (
                 tuple(annotate_transition(vector, message, actions, succ))
                 if annotate_transition
                 else ()
             )
-            transitions[message] = Transition(message, actions, names[dest], note)
+            transitions[message] = Transition(actions, names[dest], note)
         state_map[names[i]] = State(names[i], transitions, notes[i])
     if reaches_finish:
         state_map[FINISH] = State(FINISH, {}, tuple(finish_annotations))
@@ -594,7 +592,8 @@ def generate_with_stats(
     """Run the full pipeline and record per-stage statistics.
 
     The machine equals minimize(generate_transitions(spec, rules,
-    enumerate_states(spec), ...)).
+    enumerate_states(spec), ...)) when successors have the domain's types,
+    as bft's do: annotate_transition gets the domain vector a successor equals.
     The merge runs on ids, and only the surviving states are named and have
     their transitions built and annotated.  Rules run on reachable states
     only, so a rule error on a state that is never reached is not reported

@@ -23,7 +23,7 @@ BOUNDED_INTEGER = "bounded-integer"
 
 
 class DomainError(ValueError):
-    """A value (or an encoded state name) falls outside a component's domain."""
+    """A value falls outside a component's domain."""
 
 
 class UnknownStateError(LookupError):
@@ -86,9 +86,11 @@ def check_components(components: Iterable[ComponentSpec]) -> None:
                     f"boolean component {comp.name!r} must not declare max_value"
                 )
         elif comp.kind == BOUNDED_INTEGER:
-            if comp.max_value is None or comp.max_value < 0:
+            top = comp.max_value
+            # serialize writes True as "max": true, which deserialize rejects.
+            if not isinstance(top, int) or isinstance(top, bool) or top < 0:
                 raise DomainError(
-                    f"integer component {comp.name!r} needs max_value >= 0"
+                    f"integer component {comp.name!r} needs an int max_value >= 0"
                 )
         else:
             raise DomainError(f"unknown component kind {comp.kind!r}")
@@ -116,36 +118,9 @@ def state_name(vector: tuple, components: tuple[ComponentSpec, ...]) -> str:
     return "/".join(parts)
 
 
-def parse_state_name(name: str, components: tuple[ComponentSpec, ...]) -> tuple:
-    """Recover the component value vector from a canonical state name."""
-    if name == FINISH:
-        raise DomainError(f"{FINISH!r} is reserved and does not encode a vector")
-    parts = name.split("/")
-    if len(parts) != len(components):
-        raise DomainError(
-            f"name {name!r} has {len(parts)} fields for {len(components)} components"
-        )
-    values = []
-    for part, comp in zip(parts, components):
-        if comp.kind == BOOLEAN:
-            if part not in ("T", "F"):
-                raise DomainError(f"{comp.name}: expected T or F, got {part!r}")
-            values.append(part == "T")
-        else:
-            try:
-                value = int(part)
-            except ValueError:
-                raise DomainError(f"{comp.name}: expected an integer, got {part!r}")
-            if not comp.contains(value):
-                raise DomainError(f"{comp.name}={value} outside its domain")
-            values.append(value)
-    return tuple(values)
-
-
 class Transition(NamedTuple):
-    """One outgoing transition: actions performed and the destination state."""
+    """The actions and destination of the message that keys it in State.transitions."""
 
-    message: str
     actions: tuple[str, ...]
     to: str
     annotations: tuple[str, ...] = ()
@@ -273,14 +248,14 @@ def validate(machine: StateMachine) -> list[str]:
                 diags.append(f"undeclared message {msg!r} on state {name!r}")
             if t.to not in states:
                 diags.append(
-                    f"dangling destination: state {name!r} on {t.message!r} "
+                    f"dangling destination: state {name!r} on {msg!r} "
                     f"targets {t.to!r}"
                 )
             for action in t.actions:
                 if action not in action_set:
                     diags.append(
                         f"undeclared action {action!r} on state {name!r} "
-                        f"message {t.message!r}"
+                        f"message {msg!r}"
                     )
     if machine.start_state in states and fin is not None:
         if finish not in set(reachable_names(machine)):
@@ -351,7 +326,7 @@ def serialize(machine: StateMachine) -> str:
             if notes is None:
                 notes = lists[t.annotations] = _strings(t.annotations, "          ")
             trans.append(
-                f'{{\n          "message": {_quote(t.message)},'
+                f'{{\n          "message": {_quote(msg)},'
                 f'\n          "actions": {actions},'
                 f'\n          "to": {_quote(t.to)},'
                 f'\n          "annotations": {notes}'
@@ -477,7 +452,6 @@ def deserialize(text: str) -> StateMachine:
                     f"{twhere}: duplicate transition for message {message!r}"
                 )
             transitions[message] = Transition(
-                message,
                 _str_list(tr, "actions", twhere),
                 _require(tr, "to", str, twhere),
                 _str_list(tr, "annotations", twhere),

@@ -134,6 +134,10 @@ def render_source(
     """
     if not module_name.isidentifier() or keyword.iskeyword(module_name):
         raise OptionError(f"invalid module name {module_name!r}")
+    cls = _class_name(module_name)
+    # The machine class must not replace the sink base class (Python reads NFKC).
+    if unicodedata.normalize("NFKC", cls) == "ActionSink":
+        raise OptionError(f"module name {module_name!r} names its machine class ActionSink")
     methods = _identifiers("action", machine.actions, sink_method, "the sink method",
                            ("on_finish",))
     handlers = _identifiers("message", machine.messages, lambda m: f"receive_{m.lower()}",
@@ -142,7 +146,6 @@ def render_source(
     consts = _identifiers("state", names, state_constant, "the constant")
     if include_annotations:
         _check_comments(machine)
-    cls = _class_name(module_name)
     out = []
     w = out.append
     w('"""Generated state machine for a replicated commit protocol '

@@ -65,12 +65,11 @@ class TestSpec:
 
 
 P4 = BftParameters.for_replication_factor(4)
+VECTORS4 = {state_name(v, components_for(4)): v for v in engine.enumerate_states(bft_spec(4))}
 
 
 def vec(name):
-    from commitfsm.fsm import parse_state_name
-
-    return parse_state_name(name, components_for(4))
+    return VECTORS4[name]
 
 
 def named(result):

@@ -5,13 +5,14 @@ import operator
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from commitfsm import sim
+from commitfsm import cli, sim
 from commitfsm.cli import main
-from commitfsm.fsm import deserialize
+from commitfsm.fsm import deserialize, validate
 
 
 def _assert_one_error_line(capsys) -> str:
@@ -64,6 +65,23 @@ class TestGenerate:
         rc = main(["generate", "-r", "4", "-o", str(tmp_path / "absent" / "m4.json")])
         assert rc == 1
         _assert_one_error_line(capsys)
+
+    def test_invalid_machine_is_not_written(self, tmp_path, capsys, monkeypatch):
+        machine, stats = cli.bft.generate_with_stats(4)
+        start = machine.states[machine.start_state]
+        vote = start.transitions["VOTE"]._replace(actions=("BOOM",), to="NOWHERE")
+        broken = replace(machine, states={
+            **machine.states,
+            machine.start_state: start._replace(transitions={**start.transitions, "VOTE": vote}),
+        })
+        diags = validate(broken)
+        assert len(diags) == 2 and all("'VOTE'" in d for d in diags)
+        monkeypatch.setattr(cli.bft, "generate_with_stats", lambda r: (broken, stats))
+        path = tmp_path / "m4.json"
+        assert main(["generate", "-r", "4", "-o", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {d}" for d in diags]
+        assert not path.exists()
 
 
 class TestRender:
@@ -126,6 +144,14 @@ class TestRender:
         rc = main(["render", "-i", str(machine_doc), "--format", "source",
                    "-o", str(tmp_path / "x.py"), "--module-name", "9bad"])
         assert rc == 2
+
+    def test_module_name_that_names_the_sink_class(self, machine_doc, tmp_path, capsys):
+        out = tmp_path / "action_sink.py"
+        rc = main(["render", "-i", str(machine_doc), "--format", "source",
+                   "-o", str(out), "--module-name", "action_sink"])
+        assert rc == 2
+        assert "ActionSink" in _assert_one_error_line(capsys)
+        assert not out.exists()
 
     def test_renamed_action_renders_in_every_format(self, machine_doc, tmp_path):
         # SEND_VOTE renamed to SEND_ECHO: a valid document whose actions are

@@ -42,7 +42,7 @@ def reference_document(machine: StateMachine) -> str:
                 continue
             trans.append(
                 {
-                    "message": t.message,
+                    "message": msg,
                     "actions": list(t.actions),
                     "to": t.to,
                     "annotations": list(t.annotations),
@@ -102,7 +102,7 @@ def machines(draw) -> StateMachine:
         states[name] = State(
             name,
             {
-                msg: Transition(msg, draw(text_lists), draw(texts), draw(text_lists))
+                msg: Transition(draw(text_lists), draw(texts), draw(text_lists))
                 for msg in sent
             },
             draw(text_lists),

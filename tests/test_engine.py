@@ -21,6 +21,7 @@ from commitfsm.engine import (
 from commitfsm.fsm import (
     FINISH,
     BOOLEAN,
+    BOUNDED_INTEGER,
     ComponentSpec,
     State,
     StateMachine,
@@ -107,6 +108,19 @@ class TestEnumerate:
                 replication_factor=4,
                 fault_tolerance=1,
                 start_vector=(False, False),
+            )
+
+    @pytest.mark.parametrize("max_value", [True, False, 2.5, "3"])
+    def test_integer_bound_that_is_no_plain_int_rejected(self, max_value):
+        # serialize would write True as "max": true, which deserialize rejects.
+        with pytest.raises(SpecError, match="needs an int max_value >= 0"):
+            MetaModelSpec(
+                components=(ComponentSpec("n", BOUNDED_INTEGER, max_value),),
+                messages=("GO",),
+                actions=(),
+                replication_factor=4,
+                fault_tolerance=1,
+                start_vector=(0,),
             )
 
 
@@ -254,7 +268,7 @@ class TestPrune:
 def chain_machine():
     """A -> B -> C -> FINISH on GO, where B and C behave identically to D/E."""
     def st(name, go_to, actions=()):
-        return State(name, {"GO": Transition("GO", tuple(actions), go_to)})
+        return State(name, {"GO": Transition(tuple(actions), go_to)})
 
     states = {
         "A": st("A", "B"),
@@ -302,11 +316,11 @@ class TestMerge:
         for name in ("C", "E"):
             m.states[name] = State(
                 name,
-                {"GO": Transition("GO", (), FINISH), "STAY": Transition("STAY", (), name)},
+                {"GO": Transition((), FINISH), "STAY": Transition((), name)},
             )
         for name in ("A", "B", "D"):
             t = m.states[name].transitions["GO"]
-            m.states[name] = State(name, {"GO": t, "STAY": Transition("STAY", (), name)})
+            m.states[name] = State(name, {"GO": t, "STAY": Transition((), name)})
         m.states[FINISH] = State(FINISH, {})
         m.messages = ("GO", "STAY")
         merged, changed = merge_equivalent_once(m)
@@ -412,7 +426,7 @@ def copied_layers_machine(rng):
                 plan[msg] = (("X",) if rng.random() < 0.3 else (), to)
             for name in group:
                 states[name] = State(name, {
-                    msg: Transition(msg, actions, name if to is None else rng.choice(to), (msg,))
+                    msg: Transition(actions, name if to is None else rng.choice(to), (msg,))
                     for msg, (actions, to) in plan.items()
                 }, (name,))
     states[FINISH] = State(FINISH, {})
@@ -469,14 +483,14 @@ class TestMergeRounds:
 
 class TestBisimulationOracle:
     def test_single_state_machine(self):
-        st = State("A", {"GO": Transition("GO", (), "A")})
+        st = State("A", {"GO": Transition((), "A")})
         m = StateMachine(4, 1, (ComponentSpec("x", BOOLEAN),), ("GO",), (), {"A": st}, "A", FINISH)
         parts = bisimulation_oracle(m)
         assert parts == (frozenset({"A"}),)
 
     def test_action_difference_splits(self):
-        a = State("A", {"GO": Transition("GO", ("ACT",), FINISH)})
-        b = State("B", {"GO": Transition("GO", (), FINISH)})
+        a = State("A", {"GO": Transition(("ACT",), FINISH)})
+        b = State("B", {"GO": Transition((), FINISH)})
         m = StateMachine(
             4, 1, (ComponentSpec("x", BOOLEAN),), ("GO",), ("ACT",),
             {"A": a, "B": b, FINISH: State(FINISH, {})}, "A", FINISH,

@@ -56,7 +56,7 @@ Transitions:
 
 
 def loop_machine():
-    st = State("A", {"GO": Transition("GO", (), "A"), "HALT": Transition("HALT", (), "A")})
+    st = State("A", {"GO": Transition((), "A"), "HALT": Transition((), "A")})
     return StateMachine(
         replication_factor=4,
         fault_tolerance=1,
@@ -225,6 +225,13 @@ class TestSource:
         with pytest.raises(OptionError):
             render_source(final4, module_name="class")
 
+    @pytest.mark.parametrize("module_name",
+                             ["action_sink", "ACTION_SINK", "action__sink", "\uff41ction_sink"])
+    def test_module_name_that_names_the_sink_class(self, final4, module_name):
+        # The machine class would replace the ActionSink base class.
+        with pytest.raises(OptionError, match="ActionSink"):
+            render_source(final4, module_name=module_name)
+
     def test_co_simulation_sample(self, final4, generated4):
         sequences = sim.random_sequences(final4, 100, 20, seed=7)
         result = sim.co_simulate(final4, generated4, sequences)
@@ -307,7 +314,7 @@ def valid_machines(draw):
         for msg in messages:
             later = names[i + 1:] if msg == messages[0] else names
             acts = draw(st.lists(st.sampled_from(actions), unique=True)) if actions else []
-            transitions[msg] = Transition(msg, tuple(acts), draw(st.sampled_from(later)),
+            transitions[msg] = Transition(tuple(acts), draw(st.sampled_from(later)),
                                           draw(_notes))
         states[name] = State(name, transitions, draw(_notes))
     return StateMachine(4, 1, (ComponentSpec("x", BOOLEAN),), messages, actions,
