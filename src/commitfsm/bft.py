@@ -34,7 +34,7 @@ as above, and the golden r = 4 transitions chose F-b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from sys import intern
 
@@ -68,26 +68,24 @@ def fault_tolerance(r: int) -> int:
     return (r - 1) // 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BftParameters:
-    """Thresholds for one replication factor."""
+    """Thresholds for one replication factor, as plain ints the rules read."""
 
     replication_factor: int
     fault_tolerance: int
+    # total votes (own vote included) required before sending commit: r - f
+    vote_threshold: int = field(init=False)
+    # received commit messages required to finish the run: f + 1
+    commit_threshold: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vote_threshold", self.replication_factor - self.fault_tolerance)
+        object.__setattr__(self, "commit_threshold", self.fault_tolerance + 1)
 
     @classmethod
     def for_replication_factor(cls, r: int) -> "BftParameters":
         return cls(r, fault_tolerance(r))
-
-    @property
-    def vote_threshold(self) -> int:
-        """Total votes (own vote included) required before sending commit."""
-        return self.replication_factor - self.fault_tolerance
-
-    @property
-    def commit_threshold(self) -> int:
-        """Received commit messages required to finish the run."""
-        return self.fault_tolerance + 1
 
 
 def components_for(r: int) -> tuple[ComponentSpec, ...]:
@@ -121,7 +119,9 @@ def bft_spec(r: int) -> engine.MetaModelSpec:
 
 def _canonical(actions: list[str]) -> tuple[str, ...]:
     # Serialized action order is fixed regardless of rule-internal order.
-    return tuple(a for a in ACTIONS if a in actions)
+    if len(actions) < 2:
+        return tuple(actions)
+    return tuple([a for a in ACTIONS if a in actions])
 
 
 def on_vote(s: tuple, p: BftParameters) -> tuple:

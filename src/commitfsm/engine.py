@@ -50,6 +50,7 @@ from .fsm import (
     reachable_names,
     state_counts,
     state_name,
+    state_names,
 )
 
 # A rule maps a state vector to (actions, successor vector or FINISH).
@@ -129,7 +130,7 @@ def generate_transitions(
     """
     _check_rules(spec, rules)
     components = spec.components
-    name_of = {v: state_name(v, components) for v in states}
+    name_of = dict(zip(states, state_names(states, components)))
     action_set = set(spec.actions)
 
     state_map: dict[str, State] = {}
@@ -147,11 +148,12 @@ def generate_transitions(
                     raise GenerationError(name, message, f"bad successor {succ!r}")
                 dest = FINISH
             else:
-                dest = name_of.get(succ)
-                if dest is None:
+                try:
+                    dest = name_of[succ]
+                except (KeyError, TypeError):  # TypeError: unhashable, so equal to no vector
                     raise GenerationError(
                         name, message, f"successor {succ!r} outside the component domain"
-                    )
+                    ) from None
             notes = (
                 tuple(annotate_transition(vector, message, actions, succ))
                 if annotate_transition
@@ -175,22 +177,6 @@ def generate_transitions(
         start_state=start,
         finish_state=FINISH,
     )
-
-
-def _domain_vector(vector, domains) -> tuple | None:
-    """The vector of the component domain equal to vector, or None if there is none.
-
-    Equality is Python's, as in generate_transitions' lookup of successors
-    among the enumerated vectors (1 equals True).
-    """
-    if len(vector) != len(domains):
-        return None
-    out = []
-    for value, domain in zip(vector, domains):
-        if value not in domain:
-            return None
-        out.append(domain[domain.index(value)])
-    return tuple(out)
 
 
 # Sentinel for "the state itself" in merge signatures.
@@ -231,12 +217,13 @@ def _forward(
     The checks are generate_transitions': one rule per message, declared
     actions (each distinct action tuple is checked once), and a successor
     that is FINISH or equal to a vector of the component domain (right
-    arity, every value in its component's domain).  No state is named
-    unless a GenerationError names it.
+    arity, each value found in its component's value map, where 1 finds
+    True).  No state is named unless a GenerationError names it.
     """
     _check_rules(spec, rules)
     components = spec.components
-    domains = [c.domain() for c in components]
+    arity = len(components)
+    value_maps = [{v: v for v in c.domain()} for c in components]
     message_rules = [(m, rules[m]) for m in spec.messages]
     action_set = set(spec.actions)
     checked: dict[tuple, tuple[str, ...]] = {}
@@ -265,15 +252,18 @@ def _forward(
                 dest = _FINISH_ID
                 reaches_finish = True
             else:
-                dest = id_of.get(succ) if isinstance(succ, tuple) else None
-                if dest is None:
-                    reached = _domain_vector(succ, domains) if isinstance(succ, tuple) else None
-                    if reached is None:
-                        raise fail(
-                            vector, message, f"successor {succ!r} outside the component domain"
-                        )
-                    dest = id_of[reached] = len(vectors)
-                    vectors.append(reached)
+                try:  # KeyError or TypeError (unhashable): outside the domain
+                    dest = id_of.get(succ)
+                    if dest is None:
+                        if not isinstance(succ, tuple) or len(succ) != arity:
+                            raise KeyError(succ)
+                        reached = tuple([vm[v] for vm, v in zip(value_maps, succ)])
+                        dest = id_of[reached] = len(vectors)
+                        vectors.append(reached)
+                except (KeyError, TypeError):
+                    raise fail(
+                        vector, message, f"successor {succ!r} outside the component domain"
+                    ) from None
             row_acts.append(known)
             row_dests.append(dest)
         acts.append(tuple(row_acts))
@@ -322,13 +312,18 @@ def _merge_ids(
             if d >= 0:
                 preds[d].add(i)
 
+    # Equal action rows get one small int, so a signature hashes ints only.
+    row_ids: dict[tuple, int] = {}
+    row_of = [row_ids.setdefault(row, len(row_ids)) for row in acts]
+
     def signature(i: int) -> tuple:
-        return acts[i], tuple(_SELF if d == i else d for d in dests[i])
+        ds = dests[i]
+        return (row_of[i], *([_SELF if d == i else d for d in ds] if i in ds else ds))
 
     sig_of = [signature(i) for i in range(n)]
-    groups: dict[tuple, set[int]] = {}
+    groups: dict[tuple, list[int]] = {}  # members in no particular order
     for i, sig in enumerate(sig_of):
-        groups.setdefault(sig, set()).add(i)
+        groups.setdefault(sig, []).append(i)
 
     live = n
     counts: list[int] = []
@@ -341,10 +336,10 @@ def _merge_ids(
                 continue
             ordered = sorted(members)
             rep = ordered[0]
-            notes[rep] = tuple(dict.fromkeys(line for m in ordered for line in notes[m]))
+            notes[rep] = tuple(dict.fromkeys([line for m in ordered for line in notes[m]]))
             for member in ordered[1:]:
                 rename[member] = rep
-            groups[sig] = {rep}
+            groups[sig] = [rep]
         if not rename:
             break
 
@@ -366,11 +361,11 @@ def _merge_ids(
                     preds[rep].add(i)
             old = sig_of[i]
             group = groups[old]
-            group.discard(i)
+            group.remove(i)
             if not group:
                 del groups[old]
             sig = sig_of[i] = signature(i)
-            groups.setdefault(sig, set()).add(i)
+            groups.setdefault(sig, []).append(i)
             dirty.append(sig)
         live -= len(rename)
         counts.append(live)
@@ -384,27 +379,26 @@ def _build(
     annotate_transition: TransitionAnnotator | None,
     finish_annotations: tuple[str, ...],
 ) -> StateMachine:
-    """The machine of the given ids: only these are named and their
-    transitions built and annotated, in id order, the finish state last."""
+    """The machine of the given ids: only these are named (state_name's
+    label tables read directly, as _forward left only domain vectors) and
+    their transitions built and annotated, in id order, the finish state last."""
     components = spec.components
     messages = spec.messages
     vectors, acts, dests, notes, reaches_finish = reached
-    # names[_FINISH_ID] is the last entry
+    annotate = annotate_transition or (lambda *args: ())
+    tables = [c.labels() for c in components]
+    # names[_FINISH_ID] and succs[_FINISH_ID] are the last entries
     names: list[str | None] = [None] * len(vectors) + [FINISH]
+    succs = [*vectors, FINISH]
     for i in ids:
-        names[i] = state_name(vectors[i], components)
+        names[i] = "/".join([t[v] for t, v in zip(tables, vectors[i])])
     state_map: dict[str, State] = {}
     for i in ids:
         vector = vectors[i]
-        transitions: dict[str, Transition] = {}
-        for message, actions, dest in zip(messages, acts[i], dests[i]):
-            succ = FINISH if dest < 0 else vectors[dest]
-            note = (
-                tuple(annotate_transition(vector, message, actions, succ))
-                if annotate_transition
-                else ()
-            )
-            transitions[message] = Transition(actions, names[dest], note)
+        transitions = {
+            m: Transition(a, names[d], tuple(annotate(vector, m, a, succs[d])))
+            for m, a, d in zip(messages, acts[i], dests[i])
+        }
         state_map[names[i]] = State(names[i], transitions, notes[i])
     if reaches_finish:
         state_map[FINISH] = State(FINISH, {}, tuple(finish_annotations))

@@ -62,6 +62,12 @@ class ComponentSpec(NamedTuple):
             return (False, True)
         return tuple(range(self.max_value + 1))
 
+    def labels(self) -> tuple[str, ...]:
+        """Each domain value's field in a state name, indexed by the value."""
+        if self.kind == BOOLEAN:
+            return ("F", "T")
+        return tuple(map(str, range(self.max_value + 1)))
+
     def contains(self, value: Any) -> bool:
         if self.kind == BOOLEAN:
             return isinstance(value, bool)
@@ -99,23 +105,25 @@ def check_components(components: Iterable[ComponentSpec]) -> None:
 def state_name(vector: tuple, components: tuple[ComponentSpec, ...]) -> str:
     """Encode component values as a canonical state name such as "T/2/F/0/F/F/F".
 
-    Values appear in declaration order, booleans as T/F and integers in
-    decimal, joined by "/".  The encoding is a bijection over the component
-    domain; the reserved name "FINISH" is never produced.
+    Values appear in declaration order as their ComponentSpec.labels() fields
+    (booleans as T/F, integers in decimal), joined by "/": a bijection over
+    the component domain that never produces the reserved name "FINISH".
     """
-    if len(vector) != len(components):
-        raise DomainError(
-            f"vector has {len(vector)} values for {len(components)} components"
-        )
-    parts = []
-    for value, comp in zip(vector, components):
-        if not comp.contains(value):
-            raise DomainError(f"{comp.name}={value!r} outside its domain")
-        if comp.kind == BOOLEAN:
-            parts.append("T" if value else "F")
-        else:
-            parts.append(str(value))
-    return "/".join(parts)
+    return state_names([vector], components)[0]
+
+
+def state_names(vectors: Iterable[tuple], components: tuple[ComponentSpec, ...]) -> list[str]:
+    """The state_name of each vector, with the label tables built once."""
+    tables = [c.labels() for c in components]
+    names = []
+    for vector in vectors:
+        if len(vector) != len(components):
+            raise DomainError(f"vector has {len(vector)} values for {len(components)} components")
+        for value, comp in zip(vector, components):
+            if not comp.contains(value):
+                raise DomainError(f"{comp.name}={value!r} outside its domain")
+        names.append("/".join([t[v] for t, v in zip(tables, vector)]))
+    return names
 
 
 class Transition(NamedTuple):
@@ -266,21 +274,20 @@ def validate(machine: StateMachine) -> list[str]:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _array(items: list[str], indent: str) -> str:
+def _array(items: Iterable[str], indent: str) -> str:
     """Join encoded items into a JSON array in the ``indent=2`` layout.
 
     ``indent`` is the indentation of the line holding the opening bracket;
     each item's own continuation lines must already be indented below it.
     """
-    if not items:
-        return "[]"
     inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    body = (",\n" + inner).join(items)
+    return f"[\n{inner}{body}\n{indent}]" if body else "[]"
 
 
 def _strings(values: Iterable[str], indent: str) -> str:
     """A JSON array of strings in the ``indent=2`` layout."""
-    return _array(list(map(_quote, values)), indent)
+    return _array(map(_quote, values), indent)
 
 
 def serialize(machine: StateMachine) -> str:
@@ -295,11 +302,15 @@ def serialize(machine: StateMachine) -> str:
     non-ASCII character written as a ``\\u`` escape.  It is emitted
     directly because ``json.dumps`` with an ``indent`` falls back to the
     pure-Python encoder (the C encoder serves only ``indent=None``); strings
-    are escaped by the C function that ``json.dumps`` itself uses.  A value
-    that is not a ``str`` where the document holds a string (a name, kind,
-    message, action, destination or annotation) raises ``TypeError``, as
-    does a list where ``Transition`` declares a tuple; every machine that
-    ``engine`` or ``deserialize`` builds has ``str`` and tuples there.
+    are escaped by the C function that ``json.dumps`` itself uses.  The
+    pieces go into one list, joined once; each state name is quoted once,
+    and each distinct (message, actions) head and annotations tail of a
+    transition is formatted once, in tables that live for this call only.
+    A value that is not a ``str`` where the document holds a string (a
+    name, kind, message, action, destination or annotation) raises
+    ``TypeError``, as does a list where ``Transition`` declares a tuple;
+    every machine that ``engine`` or ``deserialize`` builds has ``str`` and
+    tuples there.
     """
     comps = []
     for c in machine.components:
@@ -309,46 +320,53 @@ def serialize(machine: StateMachine) -> str:
         comps.append(entry + "\n    }")
     messages = machine.messages
     states = machine.states
-    # A machine has only a handful of distinct action and annotation lists.
-    lists: dict[tuple[str, ...], str] = {}
-    blocks = []
-    for name in sorted(states):
-        st = states[name]
-        trans = []
-        for msg in messages:
-            t = st.transitions.get(msg)
-            if t is None:
-                continue
-            actions = lists.get(t.actions)
-            if actions is None:
-                actions = lists[t.actions] = _strings(t.actions, "          ")
-            notes = lists.get(t.annotations)
-            if notes is None:
-                notes = lists[t.annotations] = _strings(t.annotations, "          ")
-            trans.append(
-                f'{{\n          "message": {_quote(msg)},'
-                f'\n          "actions": {actions},'
-                f'\n          "to": {_quote(t.to)},'
-                f'\n          "annotations": {notes}'
-                "\n        }"
-            )
-        blocks.append(
-            f'{{\n      "name": {_quote(name)},'
-            f'\n      "annotations": {_strings(st.annotations, "      ")},'
-            f'\n      "transitions": {_array(trans, "      ")}'
-            "\n    }"
-        )
-    return (
+    names = sorted(states)
+    quoted = {name: _quote(name) for name in {*names, machine.start_state, machine.finish_state}}
+    # Every state and transition is emitted after its "," separator; the
+    # first separator of each array is then swapped for the opening bracket.
+    out = [
         f'{{\n  "replication_factor": {json.dumps(machine.replication_factor)},'
         f'\n  "fault_tolerance": {json.dumps(machine.fault_tolerance)},'
         f'\n  "components": {_array(comps, "  ")},'
         f'\n  "messages": {_strings(messages, "  ")},'
         f'\n  "actions": {_strings(machine.actions, "  ")},'
-        f'\n  "start_state": {_quote(machine.start_state)},'
-        f'\n  "finish_state": {_quote(machine.finish_state)},'
-        f'\n  "states": {_array(blocks, "  ")}'
-        "\n}\n"
-    )
+        f'\n  "start_state": {quoted[machine.start_state]},'
+        f'\n  "finish_state": {quoted[machine.finish_state]},'
+        '\n  "states": '
+    ]
+    heads = [{} for _ in messages]  # per message: actions -> text up to the "to" value
+    tails: dict[tuple[str, ...], str] = {}  # annotations -> the text after it
+    for name in names:
+        st = states[name]
+        notes = ",\n        ".join(map(_quote, st.annotations))
+        notes = f"[\n        {notes}\n      ]" if notes else "[]"
+        out += (",\n    ", '{\n      "name": ', quoted[name],
+                ',\n      "annotations": ', notes, ',\n      "transitions": ')
+        first = len(out)
+        for msg, known in zip(messages, heads):
+            t = st.transitions.get(msg)
+            if t is None:
+                continue
+            head = known.get(t.actions)
+            if head is None:
+                actions = _strings(t.actions, "          ")
+                head = known[t.actions] = (
+                    f'{{\n          "message": {_quote(msg)},\n          "actions": {actions},'
+                    '\n          "to": '
+                )
+            to = quoted.get(t.to) or _quote(t.to)  # a dangling one is quoted each time
+            tail = tails.get(t.annotations)
+            if tail is None:
+                notes = _strings(t.annotations, "          ")
+                tail = tails[t.annotations] = f',\n          "annotations": {notes}\n        }}'
+            out += (",\n        ", head, to, tail)
+        if len(out) > first:
+            out[first] = "[\n        "
+        out.append("\n      ]\n    }" if len(out) > first else "[]\n    }")
+    if names:
+        out[1] = "[\n    "
+    out.append("\n  ]\n}\n" if names else "[]\n}\n")
+    return "".join(out)
 
 
 _TOP_KEYS = {

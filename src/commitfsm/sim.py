@@ -58,6 +58,9 @@ class Fault:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
+        step = self.crash_step
+        if step is not None and (self.kind != CRASH or type(step) is not int or step < 0):
+            raise ConfigError(f"crash_step {step!r} needs a {CRASH} fault and an int >= 0")
 
 
 @dataclass(frozen=True, slots=True)

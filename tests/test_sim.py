@@ -63,6 +63,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             Fault(0, "sleepy")
 
+    @pytest.mark.parametrize(
+        "kind, crash_step",
+        [(SILENT, 2), (BYZANTINE, 0), (CRASH, -1), (CRASH, True), (CRASH, 1.5), (CRASH, "3")],
+    )
+    def test_invalid_crash_step_rejected(self, kind, crash_step):
+        with pytest.raises(ConfigError, match="crash_step"):
+            Fault(0, kind, crash_step)
+
+    @pytest.mark.parametrize("crash_step", [None, 0, 7])
+    def test_valid_crash_step_accepted(self, crash_step):
+        assert Fault(0, CRASH, crash_step).crash_step == crash_step
+
     @pytest.mark.parametrize("field", ["scenario", "delivery"])
     def test_unknown_scenario_or_delivery_mode(self, field):
         with pytest.raises(ConfigError, match=f"unknown {field}"):
