@@ -26,8 +26,6 @@ state ids:
 - _build names the survivors and builds and annotates their transitions;
   the states merged away are never named.
 
-minimize (a named machine turned into ids) uses the same merge kernel.
-
 No stage keeps state between calls (_merge_ids updates only the lists its
 caller built for it), so independent generations can run concurrently.
 """
@@ -496,54 +494,6 @@ def merge_equivalent_once(machine: StateMachine) -> tuple[StateMachine, bool]:
     return replace(machine, states=new_states, start_state=start), True
 
 
-def minimize(machine: StateMachine) -> StateMachine:
-    """Prune, then merge equivalent states until a merge round changes nothing.
-
-    The states reachable from the start get ids in reachable_names order
-    (the finish state excepted) and go through the same merge kernel as
-    generate_with_stats; survivors keep their transitions, redirected to
-    representatives, and their order in machine.states.  Returns machine
-    itself when there is nothing to prune or merge.
-    """
-    finish = machine.finish_state
-    order = reachable_names(machine)
-    names = [name for name in order if name != finish]
-    id_of = {name: i for i, name in enumerate(names)}
-    fixed: dict[str, int] = {}  # other destinations: below 0, never merged
-    acts, dests, notes = [], [], []
-    for name in names:
-        st = machine.states[name]
-        ts = [st.transitions[m] for m in machine.messages]
-        acts.append(tuple(t.actions for t in ts))
-        dests.append([
-            id_of[t.to] if t.to in id_of else fixed.setdefault(t.to, -1 - len(fixed))
-            for t in ts
-        ])
-        notes.append(st.annotations)
-    survivors, counts = _merge_ids(acts, dests, notes)
-    if not counts and len(order) == len(machine.states):
-        return machine
-
-    kept = set(survivors)
-    reached = set(order)
-    new_states: dict[str, State] = {}
-    for name, st in machine.states.items():
-        i = id_of.get(name)
-        if i is None:
-            if name == finish and name in reached:
-                new_states[name] = st
-            continue
-        if i not in kept:
-            continue
-        transitions: dict[str, Transition] = {}
-        for m, d in zip(machine.messages, dests[i]):
-            t = st.transitions[m]
-            to = names[d] if d >= 0 else t.to
-            transitions[m] = t if t.to == to else t._replace(to=to)
-        new_states[name] = State(name, transitions, notes[i])
-    return replace(machine, states=new_states)
-
-
 @dataclass(frozen=True)
 class StageStats:
     """Per-stage state counts and wall-clock time.
@@ -585,8 +535,9 @@ def generate_with_stats(
 ) -> tuple[StateMachine, StageStats]:
     """Run the full pipeline and record per-stage statistics.
 
-    The machine equals minimize(generate_transitions(spec, rules,
-    enumerate_states(spec), ...)) when successors have the domain's types,
+    The machine equals the fixpoint of prune_unreachable and
+    merge_equivalent_once from generate_transitions(spec, rules,
+    enumerate_states(spec), ...) when successors have the domain's types,
     as bft's do: annotate_transition gets the domain vector a successor equals.
     The merge runs on ids, and only the surviving states are named and have
     their transitions built and annotated.  Rules run on reachable states

@@ -420,6 +420,8 @@ def deserialize(text: str) -> StateMachine:
         ) from exc
     except RecursionError:
         raise DocumentParseError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise DocumentParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentValidationError("document: top level must be an object")
     _check_keys(doc, _TOP_KEYS, "document")

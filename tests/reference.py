@@ -1,10 +1,13 @@
 """The stage-by-stage reference path that tests compare the pipeline against:
 every component vector through the rules (raw_machine), then prune and
-merge rounds to a fixpoint (merge_rounds); a bisimulation oracle; and an
-exact product walk of a machine against its rules (product_check)."""
+merge rounds to a fixpoint (merge_rounds); any machine as a spec whose
+rules replay it (machine_spec); a bisimulation oracle; and an exact
+product walk of a machine against its rules (product_check)."""
+
+import functools
 
 from commitfsm import bft, engine
-from commitfsm.fsm import FINISH, step
+from commitfsm.fsm import BOUNDED_INTEGER, FINISH, ComponentSpec, step
 
 
 def bft_pipeline_args(r):
@@ -39,6 +42,44 @@ def merge_rounds(machine):
             return rounds
         assert engine.prune_unreachable(m) is m
         rounds.append(m)
+
+
+def machine_spec(machine):
+    """(spec, rules, keyword arguments) that replay machine in the pipeline.
+
+    One bounded-integer component indexes the states other than the finish,
+    in machine.states order; each rule, and each annotator, reads the
+    indexed state's own transition or notes.  So the raw machine of the spec
+    (generate_transitions over enumerate_states) is machine with its states
+    renamed "0", "1", ... and its finish state FINISH, and the pipeline's
+    machine for the spec is the merge fixpoint of that raw machine.
+    """
+    finish = machine.finish_state
+    names = [name for name in machine.states if name != finish]
+    index = {name: i for i, name in enumerate(names)}
+
+    def transition(vector, message):
+        return machine.states[names[vector[0]]].transitions[message]
+
+    def rule(message, vector):
+        t = transition(vector, message)
+        return t.actions, FINISH if t.to == finish else (index[t.to],)
+
+    spec = engine.MetaModelSpec(
+        components=(ComponentSpec("state", BOUNDED_INTEGER, len(names) - 1),),
+        messages=machine.messages,
+        actions=machine.actions,
+        replication_factor=machine.replication_factor,
+        fault_tolerance=machine.fault_tolerance,
+        start_vector=(index[machine.start_state],),
+    )
+    rules = {m: functools.partial(rule, m) for m in machine.messages}
+    kwargs = dict(
+        annotate_state=lambda v: machine.states[names[v[0]]].annotations,
+        annotate_transition=lambda v, m, a, s: transition(v, m).annotations,
+        finish_annotations=machine.states[finish].annotations,
+    )
+    return spec, rules, kwargs
 
 
 def signature_groups(machine):

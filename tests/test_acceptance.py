@@ -124,7 +124,7 @@ def test_criterion_6_minimization_soundness(raw4, pruned4, final4):
             for m in rounds:
                 for members in signature_groups(m):
                     assert len({cls[name] for name in members}) == 1
-        assert serialize(engine.minimize(final4)) == serialize(final4)
+        assert merge_rounds(final4) == [final4]
         assert validate(final4) == []
         for sequence in itertools.product(raw4.messages, repeat=6):
             assert action_trace(raw4, sequence) == action_trace(final4, sequence)

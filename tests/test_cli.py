@@ -13,6 +13,7 @@ import pytest
 from commitfsm import cli, sim
 from commitfsm.cli import main
 from commitfsm.fsm import deserialize, validate
+from test_fsm import INT_DIGIT_LIMIT
 
 
 def _assert_one_error_line(capsys) -> str:
@@ -272,6 +273,16 @@ class TestRender:
         rc = main(["render", "-i", str(bad), "--format", "text", "-o", str(tmp_path / "x")])
         assert rc == 1
         assert "nested too deeply" in _assert_one_error_line(capsys)
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="integers have no digit limit")
+    def test_integer_past_the_digit_limit(self, machine_doc, tmp_path, capsys):
+        huge = "9" * (INT_DIGIT_LIMIT + 1)
+        bad = tmp_path / "huge.json"
+        bad.write_text(machine_doc.read_text().replace(
+            '"replication_factor": 4', f'"replication_factor": {huge}'))
+        rc = main(["render", "-i", str(bad), "--format", "text", "-o", str(tmp_path / "x")])
+        assert rc == 1
+        assert _assert_one_error_line(capsys).startswith("error: invalid machine document: ")
 
     def test_unencodable_name(self, machine_doc, tmp_path, capsys):
         # a lone surrogate is valid JSON, but no UTF-8 file can hold it

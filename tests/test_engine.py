@@ -16,7 +16,6 @@ from commitfsm.engine import (
     generate_transitions,
     generate_with_stats,
     merge_equivalent_once,
-    minimize,
     prune_unreachable,
 )
 from commitfsm.fsm import (
@@ -36,6 +35,7 @@ from reference import (
     action_trace,
     bft_pipeline_args,
     bisimulation_oracle,
+    machine_spec,
     merge_rounds,
     raw_machine,
     signature_groups,
@@ -52,6 +52,17 @@ def one_flag_spec():
         fault_tolerance=1,
         start_vector=(False,),
     )
+
+
+def pipeline_against_rounds(spec, rules, **kwargs):
+    """generate_with_stats' machine and the merge_rounds of the raw machine
+    (the name-level reference loop, which shares no merge code), asserted
+    equal, with one pass per round; returns the machine and the rounds."""
+    machine, stats = generate_with_stats(spec, rules, **kwargs)
+    rounds = merge_rounds(generate_transitions(spec, rules, enumerate_states(spec), **kwargs))
+    assert machine == rounds[-1]
+    assert stats.passes == len(rounds)
+    return machine, rounds
 
 
 class TestEnumerate:
@@ -201,8 +212,7 @@ class TestGenerateReachable:
         # 1 == True: the successor names state T, as in generate_transitions
         spec = one_flag_spec()
         rules = {"SET": lambda s: ((), (1,))}
-        forward, _ = generate_with_stats(spec, rules)
-        assert forward == minimize(generate_transitions(spec, rules, enumerate_states(spec)))
+        forward, _ = pipeline_against_rounds(spec, rules)
         assert forward.states["F"].transitions["SET"].to == "T"
 
     @pytest.mark.parametrize(
@@ -252,8 +262,7 @@ class TestGenerateReachable:
         )
         assert spec.start_vector == (False,)
         rules = {"SET": lambda s: ((), (not s[0],))}
-        machine, _ = generate_with_stats(spec, rules)
-        assert machine == minimize(generate_transitions(spec, rules, enumerate_states(spec)))
+        machine, _ = pipeline_against_rounds(spec, rules)
         assert set(machine.states) == {"F", "T"}
 
     @settings(deadline=None)
@@ -267,13 +276,7 @@ class TestGenerateReachable:
             annotate_transition=lambda v, m, a, s: (f"{m} {a} finishes={s == FINISH}",),
             finish_annotations=("done",),
         )
-        machine, stats = generate_with_stats(spec, rules, **kwargs)
-        raw = generate_transitions(spec, rules, enumerate_states(spec), **kwargs)
-        assert machine == minimize(raw)
-        # and the name-level reference loop, which shares no merge code
-        rounds = merge_rounds(raw)
-        assert machine == rounds[-1]
-        assert stats.passes == len(rounds)
+        pipeline_against_rounds(spec, rules, **kwargs)
 
 
 def _twin(value):
@@ -451,14 +454,51 @@ def machines_with_copies(draw):
     return replace(machine, states=states)
 
 
+def renamed_by_index(machine):
+    """machine's states, each but the finish renamed to its index in
+    machine.states and the finish to FINISH, with the start's new name."""
+    finish = machine.finish_state
+    new = {name: str(i) for i, name in enumerate(n for n in machine.states if n != finish)}
+    new[finish] = FINISH
+    states = {
+        new[name]: State(new[name], {
+            m: Transition(t.actions, new[t.to], t.annotations) for m, t in st.transitions.items()
+        }, st.annotations)
+        for name, st in machine.states.items()
+    }
+    return states, new[machine.start_state]
+
+
+class TestMachineSpec:
+    """machine_spec replays a machine: its raw machine is the input renamed."""
+
+    @staticmethod
+    def check(machine):
+        spec, rules, kwargs = machine_spec(machine)
+        raw = generate_transitions(spec, rules, enumerate_states(spec), **kwargs)
+        states, start = renamed_by_index(machine)
+        assert raw.states == states  # every state, transition and annotation
+        assert (raw.start_state, raw.finish_state) == (start, FINISH)
+        assert (raw.messages, raw.actions) == (machine.messages, machine.actions)
+
+    def test_final4(self, final4):
+        self.check(final4)
+
+    def test_raw4(self, raw4):
+        self.check(raw4)
+
+    @settings(deadline=None, max_examples=20)
+    @given(machines_with_copies())
+    def test_drawn_machines(self, machine):
+        self.check(machine)
+
+
 class TestMinimize:
     def test_family_r4_minimizes_to_33(self, final4):
         assert state_counts(final4)[0] == 33
 
     def test_idempotent(self, final4):
-        again = minimize(final4)
-        assert serialize(again) == serialize(final4)
-        assert again is final4  # nothing to prune or merge
+        assert merge_rounds(final4) == [final4]  # nothing to prune or merge
 
     def test_result_validates(self, final4, final7):
         assert validate(final4) == []
@@ -474,16 +514,18 @@ class TestMinimize:
             assert action_trace(raw4, seq) == action_trace(final4, seq)
 
     def test_pipeline_equals_stage_composition(self, raw4, final4):
-        composed = minimize(prune_unreachable(raw4))
+        composed = merge_rounds(prune_unreachable(raw4))[-1]
         assert serialize(composed) == serialize(final4)
 
     @settings(deadline=None)
     @given(machines_with_copies())
     def test_properties_on_drawn_machines(self, machine):
-        result = minimize(machine)
+        spec, rules, kwargs = machine_spec(machine)
+        result, _ = pipeline_against_rounds(spec, rules, **kwargs)
         assert validate(result) == []
-        assert minimize(result) is result
-        assert result == merge_rounds(machine)[-1]
+        spec, rules, kwargs = machine_spec(result)
+        _, again = generate_with_stats(spec, rules, **kwargs)
+        assert again.merge_passes == ()  # a second pass merges nothing
         for n in range(1, 5):
             for seq in itertools.product(machine.messages, repeat=n):
                 assert action_trace(result, seq) == action_trace(machine, seq)
@@ -534,11 +576,8 @@ class TestMergeRounds:
         rounds = merge_rounds(raw)
         reference = rounds[-1]
         machine, stats = bft.generate_with_stats(r)
-        minimized = minimize(raw)
-        # minimize keeps its input's state order; generation's is breadth-first
-        assert list(minimized.states) == list(reference.states)
         # == compares every state, transition and annotation
-        assert minimized == machine == reference
+        assert machine == reference
         assert list(stats.merge_passes) == [state_counts(m)[1] for m in rounds[1:]]
         assert stats.passes == len(rounds)
         assert stats.after_prune == state_counts(rounds[0])[1]
@@ -550,10 +589,8 @@ class TestMergeRounds:
         for _ in range(300):
             m = copied_layers_machine(rng)
             unpruned += prune_unreachable(m) is not m
-            rounds = merge_rounds(m)
-            result = minimize(m)
-            assert result == rounds[-1]
-            assert list(result.states) == list(rounds[-1].states)
+            spec, rules, kwargs = machine_spec(m)
+            _, rounds = pipeline_against_rounds(spec, rules, **kwargs)
             passes.append(len(rounds))
         assert max(passes) >= 4  # the generator does exercise later rounds
         assert unpruned >= 30  # and inputs with unreachable states

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -25,6 +26,9 @@ from commitfsm.fsm import (
     step,
     validate,
 )
+
+# CPython's limit on the digits of an integer literal json.loads converts; 0: none
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 COMPONENTS = bft.components_for(4)
 
@@ -223,6 +227,14 @@ class TestSerialize:
     def test_malformed_json_reports_location(self):
         with pytest.raises(DocumentParseError, match="line"):
             deserialize("{not json")
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="integers have no digit limit")
+    def test_integer_past_the_digit_limit(self, final4):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        huge = "9" * (INT_DIGIT_LIMIT + 1)
+        text = serialize(final4).replace('"replication_factor": 4', f'"replication_factor": {huge}')
+        with pytest.raises(DocumentParseError, match="invalid JSON: Exceeds the limit"):
+            deserialize(text)
 
     def test_unknown_top_level_key_rejected(self, final4):
         doc = json.loads(serialize(final4))
