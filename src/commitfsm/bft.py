@@ -78,6 +78,8 @@ class BftParameters:
     vote_threshold: int = field(init=False)
     # received commit messages required to finish the run: f + 1
     commit_threshold: int = field(init=False)
+    # annotate's sentences for these thresholds, formatted on first use
+    _sentences: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vote_threshold", self.replication_factor - self.fault_tolerance)
@@ -247,6 +249,24 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}s"
 
 
+def _sentences(p: BftParameters) -> tuple:
+    """annotate's lines and line parts that depend on p, formatted once and
+    kept on p: the "neither threshold" line, the vote and the commit waits
+    indexed by the count awaited, and the vote and the commit counts."""
+    vt, ct, r = p.vote_threshold, p.commit_threshold, p.replication_factor
+    object.__setattr__(p, "_sentences", (
+        intern(f"Have not sent a commit since neither the vote threshold ({vt}) "
+               f"nor the external commit threshold ({ct}) has been reached."),
+        tuple([intern(f"Waiting for {n} further vote{'' if n == 1 else 's'} (including "
+                      f"local vote if any) before sending commit.") for n in range(vt + 1)]),
+        tuple([intern(f"Waiting for {n} further external commit{'' if n == 1 else 's'} "
+                      f"to finish.") for n in range(ct + 1)]),
+        tuple([_count(n, "vote") for n in range(r)]),
+        tuple([_count(n, "commit") for n in range(r)]),
+    ))
+    return p._sentences
+
+
 def annotate(s: tuple, p: BftParameters) -> tuple[str, ...]:
     """Generated commentary describing a state in terms of the general algorithm.
 
@@ -254,6 +274,7 @@ def annotate(s: tuple, p: BftParameters) -> tuple[str, ...]:
     carry it: the fixed lines are constants and the others are interned.
     """
     put, votes, vsent, commits, csent, could, chosen = s
+    neither, vote_waits, commit_waits, vote_counts, commit_counts = p._sentences or _sentences(p)
     lines = []
     if put:
         lines.append("Have received initial put from client.")
@@ -267,16 +288,12 @@ def annotate(s: tuple, p: BftParameters) -> tuple[str, ...]:
         lines.append("Have not voted since another update has already been voted for.")
     else:
         lines.append("Have not voted.")
-    lines.append(intern(f"Have received {_count(votes, 'vote')} and {_count(commits, 'commit')}."))
-    total_votes = votes + (1 if vsent else 0)
+    lines.append(intern(f"Have received {vote_counts[votes]} and {commit_counts[commits]}."))
+    awaited = p.vote_threshold - votes - vsent
     if csent:
         lines.append("Have sent a commit message.")
-    elif total_votes < p.vote_threshold and commits < p.commit_threshold:
-        lines.append(intern(
-            f"Have not sent a commit since neither the vote threshold "
-            f"({p.vote_threshold}) nor the external commit threshold "
-            f"({p.commit_threshold}) has been reached."
-        ))
+    elif awaited > 0 and commits < p.commit_threshold:
+        lines.append(neither)
     else:
         lines.append("Have not sent a commit.")
     if could:
@@ -287,18 +304,10 @@ def annotate(s: tuple, p: BftParameters) -> tuple[str, ...]:
         lines.append("Have chosen this update.")
     else:
         lines.append("Have not chosen this update since another ongoing update has been chosen.")
-    if not csent:
-        awaited = p.vote_threshold - total_votes
-        if awaited > 0:
-            noun = "vote" if awaited == 1 else "votes"
-            lines.append(intern(
-                f"Waiting for {awaited} further {noun} (including local vote "
-                f"if any) before sending commit."
-            ))
-    awaited = p.commit_threshold - commits
-    if awaited > 0:
-        noun = "commit" if awaited == 1 else "commits"
-        lines.append(intern(f"Waiting for {awaited} further external {noun} to finish."))
+    if not csent and awaited > 0:
+        lines.append(vote_waits[awaited])
+    if commits < p.commit_threshold:
+        lines.append(commit_waits[p.commit_threshold - commits])
     return tuple(lines)
 
 

@@ -233,7 +233,7 @@ def _forward(
     def fail(vector, message, detail):
         return GenerationError(state_name(vector, components), message, detail)
 
-    for vector in vectors:  # appended to while it is read
+    for i, vector in enumerate(vectors):  # appended to while it is read
         row_acts, row_dests = [], []
         for message, rule in message_rules:
             actions, succ = rule(vector)
@@ -244,7 +244,9 @@ def _forward(
                     if action not in action_set:
                         raise fail(vector, message, f"undeclared action {action!r}")
                 known = checked[actions] = actions
-            if isinstance(succ, str):
+            if succ is vector:  # the rule returned its input: a self-loop
+                dest = i
+            elif isinstance(succ, str):
                 if succ != FINISH:
                     raise fail(vector, message, f"bad successor {succ!r}")
                 dest = _FINISH_ID
@@ -390,14 +392,15 @@ def _build(
     succs = [*vectors, FINISH]
     for i in ids:
         names[i] = "/".join([t[v] for t, v in zip(tables, vectors[i])])
+    new = tuple.__new__  # what the NamedTuples' own __new__ calls, minus its frame
     state_map: dict[str, State] = {}
     for i in ids:
         vector = vectors[i]
         transitions = {
-            m: Transition(a, names[d], tuple(annotate(vector, m, a, succs[d])))
+            m: new(Transition, (a, names[d], tuple(annotate(vector, m, a, succs[d]))))
             for m, a, d in zip(messages, acts[i], dests[i])
         }
-        state_map[names[i]] = State(names[i], transitions, notes[i])
+        state_map[names[i]] = new(State, (names[i], transitions, notes[i]))
     if reaches_finish:
         state_map[FINISH] = State(FINISH, {}, tuple(finish_annotations))
     return StateMachine(

@@ -242,29 +242,36 @@ def validate(machine: StateMachine) -> list[str]:
         diags.append(f"finish state {finish!r} must have no outgoing transitions")
     declared = set(machine.messages)
     action_set = set(machine.actions)
+    declared_rows: set = set()  # action tuples whose every action is declared
     for name, st in states.items():
         if name == finish:
             continue
-        for msg in machine.messages:
+        exact = st.transitions.keys() == declared  # then no message scan reports
+        for msg in () if exact else machine.messages:
             if msg not in st.transitions:
                 diags.append(
                     f"incomplete message coverage: state {name!r} lacks a "
                     f"transition for {msg!r}"
                 )
         for msg, t in st.transitions.items():
-            if msg not in declared:
+            if not exact and msg not in declared:
                 diags.append(f"undeclared message {msg!r} on state {name!r}")
             if t.to not in states:
                 diags.append(
                     f"dangling destination: state {name!r} on {msg!r} "
                     f"targets {t.to!r}"
                 )
-            for action in t.actions:
-                if action not in action_set:
-                    diags.append(
-                        f"undeclared action {action!r} on state {name!r} "
-                        f"message {msg!r}"
-                    )
+            try:
+                if t.actions in declared_rows:
+                    continue
+                row = t.actions
+            except TypeError:  # unhashable, such as a list: scanned every time
+                row = None
+            undeclared = [a for a in t.actions if a not in action_set]
+            for action in undeclared:
+                diags.append(f"undeclared action {action!r} on state {name!r} message {msg!r}")
+            if row is not None and not undeclared:
+                declared_rows.add(row)
     if machine.start_state in states and fin is not None:
         if finish not in set(reachable_names(machine)):
             diags.append(f"finish state {finish!r} unreachable from the start state")
@@ -290,6 +297,13 @@ def _strings(values: Iterable[str], indent: str) -> str:
     return _array(map(_quote, values), indent)
 
 
+class _Quoted(dict):
+    """Each string's JSON form, quoted on first lookup."""
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = _quote(text)
+        return quoted
+
+
 def serialize(machine: StateMachine) -> str:
     """Render the machine as its canonical UTF-8 JSON document.
 
@@ -303,9 +317,10 @@ def serialize(machine: StateMachine) -> str:
     directly because ``json.dumps`` with an ``indent`` falls back to the
     pure-Python encoder (the C encoder serves only ``indent=None``); strings
     are escaped by the C function that ``json.dumps`` itself uses.  The
-    pieces go into one list, joined once; each state name is quoted once,
-    and each distinct (message, actions) head and annotations tail of a
-    transition is formatted once, in tables that live for this call only.
+    pieces go into one list, joined once; each distinct state name,
+    destination and state-annotation line is quoted once, and each distinct
+    (message, actions) head and annotations tail of a transition is
+    formatted once, in tables that live for this call only.
     A value that is not a ``str`` where the document holds a string (a
     name, kind, message, action, destination or annotation) raises
     ``TypeError``, as does a list where ``Transition`` declares a tuple;
@@ -321,7 +336,7 @@ def serialize(machine: StateMachine) -> str:
     messages = machine.messages
     states = machine.states
     names = sorted(states)
-    quoted = {name: _quote(name) for name in {*names, machine.start_state, machine.finish_state}}
+    quoted = _Quoted()
     # Every state and transition is emitted after its "," separator; the
     # first separator of each array is then swapped for the opening bracket.
     out = [
@@ -338,7 +353,7 @@ def serialize(machine: StateMachine) -> str:
     tails: dict[tuple[str, ...], str] = {}  # annotations -> the text after it
     for name in names:
         st = states[name]
-        notes = ",\n        ".join(map(_quote, st.annotations))
+        notes = ",\n        ".join(map(quoted.__getitem__, st.annotations))
         notes = f"[\n        {notes}\n      ]" if notes else "[]"
         out += (",\n    ", '{\n      "name": ', quoted[name],
                 ',\n      "annotations": ', notes, ',\n      "transitions": ')
@@ -354,7 +369,7 @@ def serialize(machine: StateMachine) -> str:
                     f'{{\n          "message": {_quote(msg)},\n          "actions": {actions},'
                     '\n          "to": '
                 )
-            to = quoted.get(t.to) or _quote(t.to)  # a dangling one is quoted each time
+            to = quoted[t.to]
             tail = tails.get(t.annotations)
             if tail is None:
                 notes = _strings(t.annotations, "          ")

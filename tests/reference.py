@@ -1,13 +1,15 @@
 """The stage-by-stage reference path that tests compare the pipeline against:
 every component vector through the rules (raw_machine), then prune and
 merge rounds to a fixpoint (merge_rounds); any machine as a spec whose
-rules replay it (machine_spec); a bisimulation oracle; and an exact
-product walk of a machine against its rules (product_check)."""
+rules replay it (machine_spec); a bisimulation oracle; an exact product
+walk of a machine against its rules (product_check); and the plain bodies
+of bft.annotate and fsm.validate, one line or one check per step
+(reference_annotate, reference_validate)."""
 
 import functools
 
 from commitfsm import bft, engine
-from commitfsm.fsm import BOUNDED_INTEGER, FINISH, ComponentSpec, step
+from commitfsm.fsm import BOUNDED_INTEGER, FINISH, ComponentSpec, reachable_names, step
 
 
 def bft_pipeline_args(r):
@@ -177,3 +179,97 @@ def product_check(machine, spec, rules):
                 seen.add(pair)
                 order.append(pair)
     return len(order)
+
+
+def reference_annotate(s, p):
+    """bft.annotate as every line formatted from s and p on each call."""
+    put, votes, vsent, commits, csent, could, chosen = s
+    lines = []
+    if put:
+        lines.append("Have received initial put from client.")
+    else:
+        lines.append("Have not yet received initial put from client.")
+    if vsent:
+        lines.append("Have voted for this update.")
+    elif not put:
+        lines.append("Have not voted since the initial put has not yet arrived.")
+    elif not could:
+        lines.append("Have not voted since another update has already been voted for.")
+    else:
+        lines.append("Have not voted.")
+    lines.append(f"Have received {bft._count(votes, 'vote')} and {bft._count(commits, 'commit')}.")
+    total_votes = votes + (1 if vsent else 0)
+    if csent:
+        lines.append("Have sent a commit message.")
+    elif total_votes < p.vote_threshold and commits < p.commit_threshold:
+        lines.append(
+            f"Have not sent a commit since neither the vote threshold "
+            f"({p.vote_threshold}) nor the external commit threshold "
+            f"({p.commit_threshold}) has been reached."
+        )
+    else:
+        lines.append("Have not sent a commit.")
+    if could:
+        lines.append("May choose this update since the next slot is free.")
+    else:
+        lines.append("May not choose since another ongoing update has been voted for.")
+    if chosen:
+        lines.append("Have chosen this update.")
+    else:
+        lines.append("Have not chosen this update since another ongoing update has been chosen.")
+    if not csent:
+        awaited = p.vote_threshold - total_votes
+        if awaited > 0:
+            noun = "vote" if awaited == 1 else "votes"
+            lines.append(
+                f"Waiting for {awaited} further {noun} (including local vote "
+                f"if any) before sending commit."
+            )
+    awaited = p.commit_threshold - commits
+    if awaited > 0:
+        noun = "commit" if awaited == 1 else "commits"
+        lines.append(f"Waiting for {awaited} further external {noun} to finish.")
+    return tuple(lines)
+
+
+def reference_validate(machine):
+    """fsm.validate as every check made for every state and transition."""
+    diags = []
+    states = machine.states
+    if machine.start_state not in states:
+        diags.append(f"missing start state {machine.start_state!r}")
+    finish = machine.finish_state
+    fin = states.get(finish)
+    if fin is None:
+        diags.append(f"missing finish state {finish!r}")
+    elif fin.transitions:
+        diags.append(f"finish state {finish!r} must have no outgoing transitions")
+    declared = set(machine.messages)
+    action_set = set(machine.actions)
+    for name, st in states.items():
+        if name == finish:
+            continue
+        for msg in machine.messages:
+            if msg not in st.transitions:
+                diags.append(
+                    f"incomplete message coverage: state {name!r} lacks a "
+                    f"transition for {msg!r}"
+                )
+        for msg, t in st.transitions.items():
+            if msg not in declared:
+                diags.append(f"undeclared message {msg!r} on state {name!r}")
+            if t.to not in states:
+                diags.append(
+                    f"dangling destination: state {name!r} on {msg!r} "
+                    f"targets {t.to!r}"
+                )
+            for action in t.actions:
+                if action not in action_set:
+                    diags.append(
+                        f"undeclared action {action!r} on state {name!r} "
+                        f"message {msg!r}"
+                    )
+    if machine.start_state in states and fin is not None:
+        if finish not in set(reachable_names(machine)):
+            diags.append(f"finish state {finish!r} unreachable from the start state")
+    return diags

@@ -92,7 +92,9 @@ def test_criterion_5_generation_time(timed_family):
 
 # r: (initial, after_prune, final, passes, SHA-256 of the serialized
 # document), recorded from the enumerate-prune-merge pipeline of the
-# paper; generation must reproduce every document byte for byte.
+# paper (r = 100 and 199 from the generator at commit 0688efd, which
+# reproduced the others); generation must reproduce every document byte
+# for byte.
 DOCUMENTS = {
     4: (512, 48, 33, 6, "d9366ab1bab739f4a6dd16dbf50b74a77ad6bfd9c460f77cb731b0c660526f4f"),
     7: (1568, 126, 85, 10, "1bd6119e8d97f96a63c2da5ed13b372a8650aa8bde8e02ff2d18d5ea030e2695"),
@@ -100,6 +102,8 @@ DOCUMENTS = {
     25: (20000, 1350, 901, 34, "7df481bbe130787523a7a10e1c38cb7ac8bacc6b7964ba93e306cd6d0205955b"),
     46: (67712, 4416, 2945, 62, "d46ce164cdfabaaea6ba191e02b65ddb6f889236d4c67205d9d866c993f5362e"),
     61: (119072, 7686, 5125, 82, "dd56870b62ac432ec7bce33e75d157e90868d96edd1b86ea5ebedd6d5e5c2739"),
+    100: (320000, 20400, 13601, 134, "02c2fc0215ff3f13f6f7d7e4de9bf8b5b29426adcb698825485416f3c8856cc7"),
+    199: (1267232, 79998, 53333, 266, "f2bcca89639aee3ca101833d28caaf1e2a19bf66de8103c1609d5f46f525efa6"),
 }
 
 
@@ -113,6 +117,13 @@ def test_documents_byte_identical(timed_family):
         machine, stats, _ = timed_family[r]
         assert _document_record(machine, stats) == DOCUMENTS[r], f"r={r}"
     assert _document_record(*bft.generate_with_stats(61)) == DOCUMENTS[61]
+
+
+# The large rows, past the paper's table: a few seconds together.
+@pytest.mark.slow
+@pytest.mark.parametrize("r", [100, 199])
+def test_large_documents_byte_identical(r):
+    assert _document_record(*bft.generate_with_stats(r)) == DOCUMENTS[r]
 
 
 def test_criterion_6_minimization_soundness(raw4, pruned4, final4):

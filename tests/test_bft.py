@@ -20,7 +20,7 @@ from commitfsm.bft import (
     transition_rules,
 )
 from commitfsm.fsm import FINISH, state_counts, state_name
-from reference import bft_pipeline_args, bisimulation_oracle, product_check
+from reference import bft_pipeline_args, bisimulation_oracle, product_check, reference_annotate
 
 
 class TestParameters:
@@ -208,6 +208,15 @@ class TestAnnotate:
         assert "Have sent a commit message." in lines
         assert not any("before sending commit" in line for line in lines)
         assert "Waiting for 2 further external commits to finish." in lines
+
+    @pytest.mark.parametrize("r", range(4, 14))
+    def test_equals_the_reference_on_the_component_space(self, r):
+        # two parameter objects: each line is one string object across machines
+        p, again = BftParameters.for_replication_factor(r), BftParameters.for_replication_factor(r)
+        for s in engine.enumerate_states(bft_spec(r)):
+            lines = annotate(s, p)
+            assert lines == reference_annotate(s, p), s
+            assert all(a is b for a, b in zip(lines, annotate(s, again))), s
 
 
 def iter_raw_transitions(r):

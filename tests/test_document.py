@@ -21,6 +21,7 @@ from commitfsm.fsm import (
     validate,
 )
 from commitfsm.render import render_dot, render_text
+from reference import reference_validate
 
 
 def reference_document(machine: StateMachine) -> str:
@@ -190,13 +191,43 @@ NO_STATES = StateMachine(
 )
 
 
+def with_list_actions(machine: StateMachine) -> StateMachine:
+    """machine with every transition's actions held in a list, as a hand-built
+    machine may hold them: unhashable, so validate cannot look them up."""
+    states = {
+        name: st._replace(transitions={
+            msg: t._replace(actions=list(t.actions)) for msg, t in st.transitions.items()
+        })
+        for name, st in machine.states.items()
+    }
+    return StateMachine(**{**vars(machine), "states": states})
+
+
+# Two states share each action row, one row declared and one not: a row
+# found declared once must not hide the other row's diagnostics.
+SHARED_ROWS = {
+    "replication_factor": 4, "fault_tolerance": 1, "components": [],
+    "messages": ["GO", "STAY"], "actions": ["ACT"], "start_state": "A", "finish_state": FINISH,
+    "states": [{"name": FINISH, "annotations": [], "transitions": []}] + [
+        {"name": name, "annotations": [], "transitions": [
+            {"message": "GO", "actions": ["ACT"], "to": FINISH, "annotations": []},
+            {"message": "STAY", "actions": ["ACT", "SKIP", "SKIP"], "to": name, "annotations": []},
+        ]} for name in ("A", "B")
+    ],
+}
+
+
 @settings(deadline=None)
 @given(documents())
 @example(json.loads(serialize(NO_STATES)))
+@example(SHARED_ROWS)
 def test_validate_reports_and_never_raises(doc):
     machine = deserialize(json.dumps(doc))
     diags = validate(machine)
     assert isinstance(diags, list) and all(isinstance(d, str) for d in diags)
+    assert diags == reference_validate(machine)
+    listed = with_list_actions(machine)
+    assert validate(listed) == reference_validate(listed) == diags
     if not diags:
         assert isinstance(render_text(machine), str)
         assert isinstance(render_dot(machine), str)
