@@ -26,6 +26,7 @@ from commitfsm.fsm import (
     State,
     StateMachine,
     Transition,
+    serialize,
     state_counts,
     state_name,
     validate,
@@ -511,6 +512,10 @@ class TestMinimize:
     def test_behaviour_preserved_exhaustively(self, raw4, final4):
         for seq in itertools.product(raw4.messages, repeat=4):
             assert action_trace(raw4, seq) == action_trace(final4, seq)
+
+    def test_pipeline_equals_stage_composition(self, raw4, final4):
+        composed = merge_rounds(prune_unreachable(raw4))[-1]
+        assert serialize(composed) == serialize(final4)
 
     @settings(deadline=None)
     @given(machines_with_copies())
