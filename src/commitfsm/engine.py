@@ -88,6 +88,9 @@ class MetaModelSpec:
             raise SpecError("at least one state component is required")
         if not self.messages:
             raise SpecError("at least one message is required")
+        for kind, names in (("message", self.messages), ("action", self.actions)):
+            if len(set(names)) < len(names):
+                raise SpecError(f"a {kind} is declared more than once in {names!r}")
         try:
             check_components(self.components)
         except ValueError as exc:
@@ -201,7 +204,6 @@ class _Reached(NamedTuple):
     acts: list[tuple[tuple[str, ...], ...]]
     dests: list[list[int]]
     notes: list[tuple[str, ...]]
-    reaches_finish: bool
 
 
 def _forward(
@@ -228,7 +230,6 @@ def _forward(
     id_of = {spec.start_vector: 0}
     vectors = [spec.start_vector]
     acts, dests, notes = [], [], []
-    reaches_finish = False
 
     def fail(vector, message, detail):
         return GenerationError(state_name(vector, components), message, detail)
@@ -250,7 +251,6 @@ def _forward(
                 if succ != FINISH:
                     raise fail(vector, message, f"bad successor {succ!r}")
                 dest = _FINISH_ID
-                reaches_finish = True
             else:
                 try:  # KeyError or TypeError (unhashable): outside the domain
                     dest = id_of.get(succ)
@@ -269,7 +269,7 @@ def _forward(
         acts.append(tuple(row_acts))
         dests.append(row_dests)
         notes.append(tuple(annotate_state(vector)) if annotate_state else ())
-    return _Reached(vectors, acts, dests, notes, reaches_finish)
+    return _Reached(vectors, acts, dests, notes)
 
 
 def _merge_ids(
@@ -300,17 +300,19 @@ def _merge_ids(
       member to its representative finds the representative already
       discovered; so the survivors keep their breadth-first order, and the
       ids stay the merge rank, in every later round.
-    - A worklist.  A state's signature changes only when one of its
-      successors is renamed, so after a round only the surviving
-      predecessors of renamed states are re-signed, and only the groups
-      they enter can hold two states.
+    - One signature table.  After a round no two live states share a
+      signature, so owner maps each signature to the one live id that has
+      it.  A signature changes only when a successor is renamed, so the
+      next round re-signs only the surviving predecessors of renamed
+      states, in ascending id order: one whose signature a lower id owns
+      merges into it, and an untouched higher owner merges into it instead.
     """
     n = len(dests)
-    preds: list[set[int] | None] = [set() for _ in range(n)]
+    preds: list[list[int]] = [[] for _ in range(n)]  # append-only, filtered on use
     for i, ds in enumerate(dests):
         for d in ds:
             if d >= 0:
-                preds[d].add(i)
+                preds[d].append(i)
 
     # Equal action rows get one small int, so a signature hashes ints only.
     row_ids: dict[tuple, int] = {}
@@ -320,53 +322,34 @@ def _merge_ids(
         ds = dests[i]
         return (row_of[i], *([_SELF if d == i else d for d in ds] if i in ds else ds))
 
-    sig_of = [signature(i) for i in range(n)]
-    groups: dict[tuple, list[int]] = {}  # members in no particular order
-    for i, sig in enumerate(sig_of):
-        groups.setdefault(sig, []).append(i)
-
-    live = n
-    counts: list[int] = []
-    dirty = list(groups)
+    # Entries are never deleted: a re-signed state's old signature names a
+    # state merged away, which no live signature names again.
+    owner: dict[tuple, int] = {}
+    live, counts = n, []
+    touched = range(n)
     while True:
         rename: dict[int, int] = {}
-        for sig in dirty:
-            members = groups.get(sig)
-            if members is None or len(members) < 2:
-                continue
-            ordered = sorted(members)
-            rep = ordered[0]
-            notes[rep] = tuple(dict.fromkeys([line for m in ordered for line in notes[m]]))
-            for member in ordered[1:]:
-                rename[member] = rep
-            groups[sig] = [rep]
+        for i in sorted(touched):
+            sig = signature(i)
+            rep = owner.setdefault(sig, i)
+            if rep < i:
+                rename[i] = rep
+            elif rep > i:
+                owner[sig] = rename[rep] = i
         if not rename:
             break
-
-        touched: set[int] = set()
-        for member in rename:
-            for d in dests[member]:
-                if d >= 0 and d not in rename:
-                    preds[d].discard(member)
-            touched.update(preds[member])
-            dests[member] = preds[member] = None
-        touched.difference_update(rename)
-        dirty = []
+        for member in sorted(rename):
+            rep = rename[member]
+            notes[rep] = tuple(dict.fromkeys(notes[rep] + notes[member]))
+            dests[member] = None
+        touched = {p for m in rename for p in preds[m] if dests[p] is not None}
         for i in touched:
             ds = dests[i]
             for k, d in enumerate(ds):
                 rep = rename.get(d)
                 if rep is not None:
                     ds[k] = rep
-                    preds[rep].add(i)
-            old = sig_of[i]
-            group = groups[old]
-            group.remove(i)
-            if not group:
-                del groups[old]
-            sig = sig_of[i] = signature(i)
-            groups.setdefault(sig, []).append(i)
-            dirty.append(sig)
+                    preds[rep].append(i)
         live -= len(rename)
         counts.append(live)
     return [i for i in range(n) if dests[i] is not None], tuple(counts)
@@ -384,7 +367,7 @@ def _build(
     their transitions built and annotated, in id order, the finish state last."""
     components = spec.components
     messages = spec.messages
-    vectors, acts, dests, notes, reaches_finish = reached
+    vectors, acts, dests, notes = reached
     annotate = annotate_transition or (lambda *args: ())
     tables = [c.labels() for c in components]
     # names[_FINISH_ID] and succs[_FINISH_ID] are the last entries
@@ -401,7 +384,7 @@ def _build(
             for m, a, d in zip(messages, acts[i], dests[i])
         }
         state_map[names[i]] = new(State, (names[i], transitions, notes[i]))
-    if reaches_finish:
+    if any(_FINISH_ID in dests[i] for i in ids):  # merging keeps every destination
         state_map[FINISH] = State(FINISH, {}, tuple(finish_annotations))
     return StateMachine(
         replication_factor=spec.replication_factor,

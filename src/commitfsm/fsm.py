@@ -226,9 +226,10 @@ def validate(machine: StateMachine) -> list[str]:
     """Check the machine invariants; an empty list means the machine is well formed.
 
     Each violation yields one human-readable diagnostic.  Checks: start and
-    finish states exist, the finish state has no outgoing transitions, every
-    other state covers exactly the declared message set, all destinations and
-    actions resolve, and the finish state is reachable from the start.
+    finish states exist, the finish state has no outgoing transitions, no
+    message or action is declared twice, every other state covers exactly the
+    declared message set, all destinations and actions resolve, and the
+    finish state is reachable from the start.
     """
     diags: list[str] = []
     states = machine.states
@@ -240,6 +241,12 @@ def validate(machine: StateMachine) -> list[str]:
         diags.append(f"missing finish state {finish!r}")
     elif fin.transitions:
         diags.append(f"finish state {finish!r} must have no outgoing transitions")
+    for kind, names in (("message", machine.messages), ("action", machine.actions)):
+        seen: set = set()
+        for name in names:
+            if name in seen:
+                diags.append(f"{kind} {name!r} declared more than once")
+            seen.add(name)
     declared = set(machine.messages)
     action_set = set(machine.actions)
     declared_rows: set = set()  # action tuples whose every action is declared

@@ -244,6 +244,10 @@ def reference_validate(machine):
         diags.append(f"missing finish state {finish!r}")
     elif fin.transitions:
         diags.append(f"finish state {finish!r} must have no outgoing transitions")
+    for kind, names in (("message", machine.messages), ("action", machine.actions)):
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                diags.append(f"{kind} {name!r} declared more than once")
     declared = set(machine.messages)
     action_set = set(machine.actions)
     for name, st in states.items():

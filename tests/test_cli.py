@@ -123,6 +123,18 @@ class TestRender:
         rc = main(["render", "-i", str(bad), "--format", "text", "-o", str(tmp_path / "x")])
         assert rc == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "dot"])
+    def test_repeated_message_declaration(self, machine_doc, tmp_path, capsys, fmt):
+        # it used to render every PUT block and edge twice
+        doc = json.loads(machine_doc.read_text())
+        doc["messages"].append("PUT")
+        bad = tmp_path / "twice.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        rc = main(["render", "-i", str(bad), "--format", fmt, "-o", str(out)])
+        assert rc == 1 and not out.exists()
+        assert "message 'PUT' declared more than once" in _assert_one_error_line(capsys)
+
     def test_missing_input(self, tmp_path):
         rc = main(["render", "-i", str(tmp_path / "absent.json"), "--format", "text",
                    "-o", str(tmp_path / "x")])

@@ -130,13 +130,20 @@ _actions = st.sampled_from(("SEND_GO", "ACT")) | texts
 @st.composite
 def documents(draw) -> dict:
     """A document object deserialize accepts that may still be no machine:
-    repeated, undeclared or missing messages, dangling destinations, a
-    finish state with transitions, any start and finish."""
+    repeated, undeclared or missing messages, repeated or undeclared
+    actions, dangling destinations, a finish state with transitions, any
+    start and finish."""
     messages = draw(st.lists(_messages, max_size=3))
     actions = draw(st.lists(_actions, max_size=3))
     names = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
     # a declared name three times in four, any other name the fourth
     name = st.one_of(*[st.sampled_from(names)] * 3, _names)
+    # a few action rows per document, each mixing declared and undeclared
+    # actions, so that rows repeat across states
+    row_action = st.sampled_from(actions) | _actions if actions else _actions
+    rows = st.sampled_from(
+        draw(st.lists(st.lists(row_action, max_size=2), min_size=1, max_size=4))
+    )
     message_sets = st.lists(_messages, max_size=3, unique=True)
     if messages:
         message_sets |= st.just(list(dict.fromkeys(messages)))
@@ -145,8 +152,7 @@ def documents(draw) -> dict:
         transitions = [
             {
                 "message": message,
-                "actions": draw(st.lists(st.sampled_from(actions) if actions else _actions,
-                                         max_size=2)),
+                "actions": draw(rows),
                 "to": draw(name),
                 "annotations": draw(st.lists(texts, max_size=1)),
             }

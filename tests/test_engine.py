@@ -123,6 +123,16 @@ class TestEnumerate:
                 start_vector=(False, False),
             )
 
+    @pytest.mark.parametrize(
+        "field, names",
+        [("messages", ("GO", "STOP", "GO")), ("actions", ("ACT", "ACT"))],
+        ids=["messages", "actions"],
+    )
+    def test_repeated_message_or_action_rejected(self, field, names):
+        # a repeated message made a machine whose document deserialize rejects
+        with pytest.raises(SpecError, match=f"a {field[:-1]} is declared more than once"):
+            replace(one_flag_spec(), **{field: names})
+
     @pytest.mark.parametrize("max_value", [True, False, 2.5, "3"])
     def test_integer_bound_that_is_no_plain_int_rejected(self, max_value):
         # serialize would write True as "max": true, which deserialize rejects.
@@ -594,6 +604,34 @@ class TestMergeRounds:
             passes.append(len(rounds))
         assert max(passes) >= 4  # the generator does exercise later rounds
         assert unpruned >= 30  # and inputs with unreachable states
+
+    def test_untouched_higher_id_gives_way(self):
+        # Breadth-first ids: S 0, I 1, K 2, J 3, X 4, Y1 5, Y2 6.  Round 1
+        # merges Y1 and Y2 into X.  Round 2 re-signs I and K, and J, not
+        # re-signed, already has their signature: J gives way to I, and the
+        # notes fold in id order, I then K then J.
+        messages = ("M0", "M1", "M2", "M3", "GO")
+        moves = {
+            "S": dict(zip(messages, ("I", "K", "J", "X"))),
+            "I": {"GO": "Y1"}, "K": {"GO": "Y2"}, "J": {"GO": "X"},
+            "X": {"GO": FINISH}, "Y1": {"GO": FINISH}, "Y2": {"GO": FINISH},
+        }
+        states = {
+            name: State(name, {
+                m: Transition(("ACT",) if to == FINISH else (), to)
+                for m in messages
+                for to in [out.get(m, name)]  # any other message: a self-loop
+            }, (name.lower(),))
+            for name, out in moves.items()
+        }
+        states[FINISH] = State(FINISH, {})
+        m = StateMachine(4, 1, (ComponentSpec("x", BOOLEAN),), messages, ("ACT",), states, "S")
+        spec, rules, kwargs = machine_spec(m)
+        machine, rounds = pipeline_against_rounds(spec, rules, **kwargs)
+        assert len(rounds) == 3
+        assert sorted(st.annotations for st in machine.states.values()) == [
+            (), ("i", "k", "j"), ("s",), ("x", "y1", "y2")
+        ]
 
     def test_annotates_only_the_survivors(self):
         # r = 25: 1,350 reached states, 901 survive (FINISH included), and

@@ -161,6 +161,17 @@ class TestValidate:
         m.states["A"].transitions["GO"] = Transition(("BOOM",), "B")
         assert any("undeclared action" in d for d in validate(m))
 
+    def test_repeated_declarations(self):
+        # each is reported, not hidden by the state's transition keys
+        m = tiny_machine()
+        m.messages = ("GO", "STAY", "GO", "GO")
+        m.actions = ("ACT", "ACT")
+        assert validate(m) == [
+            "message 'GO' declared more than once",
+            "message 'GO' declared more than once",
+            "action 'ACT' declared more than once",
+        ]
+
     def test_unreachable_finish(self):
         m = tiny_machine()
         m.states["B"].transitions["GO"] = Transition((), "B")
