@@ -99,9 +99,6 @@ def _cmd_render(args) -> int:
             artefact = render.render_dot(machine)
         else:
             artefact = render.render_source(machine, args.module_name, annotate)
-    except render.OptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except render.SourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -195,6 +192,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (bft.ParameterError, sim.ConfigError) as exc:
+    except (bft.ParameterError, sim.ConfigError, render.OptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

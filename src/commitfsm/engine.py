@@ -89,8 +89,13 @@ class MetaModelSpec:
         if not self.messages:
             raise SpecError("at least one message is required")
         for kind, names in (("message", self.messages), ("action", self.actions)):
+            if not all(isinstance(n, str) for n in names):
+                raise SpecError(f"every {kind} must be a string, got {names!r}")
             if len(set(names)) < len(names):
                 raise SpecError(f"a {kind} is declared more than once in {names!r}")
+        for key in ("replication_factor", "fault_tolerance"):
+            if type(getattr(self, key)) is not int:  # not isinstance: deserialize rejects a bool
+                raise SpecError(f"{key} must be an int, got {getattr(self, key)!r}")
         try:
             check_components(self.components)
         except ValueError as exc:
@@ -130,8 +135,7 @@ def generate_transitions(
     outgoing transitions.
     """
     _check_rules(spec, rules)
-    components = spec.components
-    name_of = dict(zip(states, state_names(states, components)))
+    name_of = dict(zip(states, state_names(states, spec.components)))
     action_set = set(spec.actions)
 
     state_map: dict[str, State] = {}
@@ -168,13 +172,18 @@ def generate_transitions(
     start = name_of.get(spec.start_vector)
     if start is None:
         raise SpecError("start_vector is not among the enumerated states")
+    return _machine(spec, state_map, start)
+
+
+def _machine(spec: MetaModelSpec, states: dict[str, State], start: str) -> StateMachine:
+    """The machine of spec with these states, finishing in FINISH."""
     return StateMachine(
         replication_factor=spec.replication_factor,
         fault_tolerance=spec.fault_tolerance,
-        components=components,
+        components=spec.components,
         messages=spec.messages,
         actions=spec.actions,
-        states=state_map,
+        states=states,
         start_state=start,
         finish_state=FINISH,
     )
@@ -365,11 +374,10 @@ def _build(
     """The machine of the given ids: only these are named (state_name's
     label tables read directly, as _forward left only domain vectors) and
     their transitions built and annotated, in id order, the finish state last."""
-    components = spec.components
     messages = spec.messages
     vectors, acts, dests, notes = reached
     annotate = annotate_transition or (lambda *args: ())
-    tables = [c.labels() for c in components]
+    tables = [c.labels() for c in spec.components]
     # names[_FINISH_ID] and succs[_FINISH_ID] are the last entries
     names: list[str | None] = [None] * len(vectors) + [FINISH]
     succs = [*vectors, FINISH]
@@ -386,16 +394,7 @@ def _build(
         state_map[names[i]] = new(State, (names[i], transitions, notes[i]))
     if any(_FINISH_ID in dests[i] for i in ids):  # merging keeps every destination
         state_map[FINISH] = State(FINISH, {}, tuple(finish_annotations))
-    return StateMachine(
-        replication_factor=spec.replication_factor,
-        fault_tolerance=spec.fault_tolerance,
-        components=components,
-        messages=messages,
-        actions=spec.actions,
-        states=state_map,
-        start_state=names[0],
-        finish_state=FINISH,
-    )
+    return _machine(spec, state_map, names[0])
 
 
 def prune_unreachable(machine: StateMachine) -> StateMachine:

@@ -83,6 +83,8 @@ def check_components(components: Iterable[ComponentSpec]) -> None:
     """Raise DomainError unless the component declarations are well formed."""
     seen = set()
     for comp in components:
+        if not isinstance(comp.name, str):
+            raise DomainError(f"component name {comp.name!r} must be a string")
         if comp.name in seen:
             raise DomainError(f"duplicate component name {comp.name!r}")
         seen.add(comp.name)

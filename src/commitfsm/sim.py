@@ -9,7 +9,8 @@ competing updates.  Delivery order is driven entirely by the seed, so a
 trace is a pure function of (machine, config).
 
 Fault kinds: a silent node drops all its outbound messages, a crashed node
-stops processing after a set number of deliveries, and a Byzantine
+stops processing after its crash step's number of distinct deliveries
+(repeats that deduplication discards do not count), and a Byzantine
 equivocator replaces each outbound message, per peer, with a random
 syntactically valid protocol message.
 """
@@ -17,7 +18,7 @@ syntactically valid protocol message.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -56,6 +57,8 @@ class Fault:
     crash_step: int | None = None
 
     def __post_init__(self):
+        if type(self.node) is not int or self.node < 0:
+            raise ConfigError(f"fault node {self.node!r} must be an int >= 0")
         if self.kind not in FAULT_KINDS:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
         step = self.crash_step
@@ -250,12 +253,13 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
     n_updates = len(updates)
     rng = random.Random(config.seed)
     getrandbits = rng.getrandbits
-    crash_step: dict[int, int] = {}
+    # crash-faulted node -> the deliveries it still processes
+    left: dict[int, int] = {}
     silent: set[int] = set()
     byzantine: set[int] = set()
     for f in config.faults:
         if f.kind == CRASH:
-            crash_step[f.node] = (
+            left[f.node] = (
                 f.crash_step
                 if f.crash_step is not None
                 else 1 + _below(getrandbits, 4 * r * n_updates + 1)
@@ -276,7 +280,6 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
     finish = machine.finish_state
     cursors: dict[tuple[int, str], str] = {}
     controllers = [SlotController(updates) for _ in range(r)]
-    processed = {n: 0 for n in range(r)}
     crashed: set[int] = set()
     seen: set[tuple] = set()
     finish_orders: dict[int, list[str]] = {n: [] for n in range(r)}
@@ -287,12 +290,10 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
     fifo = config.delivery == FIFO_PER_LINK
     pending: list = []  # fifo: the nonempty link queues; else the messages
     if fifo:
-        links: dict[tuple, deque] = {}
+        links: defaultdict[tuple, deque] = defaultdict(deque)
 
         def put(sender, receiver, kind, update):
-            q = links.get((sender, receiver))
-            if q is None:
-                q = links[sender, receiver] = deque()
+            q = links[sender, receiver]
             if not q:
                 pending.append(q)
             q.append((sender, receiver, kind, update))
@@ -316,11 +317,7 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
             item = pending.pop(i)
         step_no += 1
         sender, node, kind, update = item
-        if node in crashed:
-            dropped += 1
-            continue
-        limit = crash_step.get(node)
-        if limit is not None and processed[node] >= limit:
+        if node in left and not left[node]:
             crashed.add(node)
             dropped += 1
             continue
@@ -329,7 +326,8 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
                 deduplicated += 1
                 continue
             seen.add(item)
-        processed[node] += 1
+        if node in left:
+            left[node] -= 1
         if sender != CONTROLLER and kind == "NOT_FREE":
             # a peer claimed the slot for `update`: its competitors at this
             # node may no longer choose

@@ -133,6 +133,24 @@ class TestEnumerate:
         with pytest.raises(SpecError, match=f"a {field[:-1]} is declared more than once"):
             replace(one_flag_spec(), **{field: names})
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("messages", (1,), "every message must be a string"),
+            ("actions", ("ACT", 2), "every action must be a string"),
+            ("replication_factor", 4.0, "replication_factor must be an int"),
+            ("replication_factor", True, "replication_factor must be an int"),
+            ("fault_tolerance", 1.0, "fault_tolerance must be an int"),
+            ("components", (ComponentSpec(3, BOOLEAN),), "component name 3 must be a string"),
+        ],
+        ids=["message", "action", "r-float", "r-bool", "f-float", "component-name"],
+    )
+    def test_value_its_document_cannot_hold_rejected(self, field, value, match):
+        # serialize raised TypeError on a name that is no string, and
+        # deserialize rejects a count that is no plain int
+        with pytest.raises(SpecError, match=match):
+            replace(one_flag_spec(), **{field: value})
+
     @pytest.mark.parametrize("max_value", [True, False, 2.5, "3"])
     def test_integer_bound_that_is_no_plain_int_rejected(self, max_value):
         # serialize would write True as "max": true, which deserialize rejects.

@@ -9,12 +9,18 @@ Each run adds ``repr((events, statuses, finish_orders, faulty))`` to the
 digest, so any change in delivery order, random draws or machine steps
 changes it.
 
+A second matrix mixes the fault kinds: node 0 is Byzantine and nodes
+1..max(f, 1) crash, so crash-faulted nodes receive the repeats a Byzantine
+sender forges.  Each of its runs adds its whole ``SimTrace.serialize()``
+text, counters line included, to MIXED_DIGEST; it pins what a crash step
+counts (distinct deliveries processed, discarded repeats not counted).
+
 Standard library only, so it also runs on interpreters without pytest:
 
     PYTHONPATH=src python tests/trace_digest.py
 
-prints the digest, the run count and the event count, and exits 1 when the
-digest differs from TRACE_DIGEST.
+prints each digest with its run count and event count, and exits 1 when
+either differs from its pinned value.
 """
 
 from __future__ import annotations
@@ -31,6 +37,11 @@ ROWS = (4, 7, 13)
 SEEDS = range(30)
 CRASH_STEPS = (0, 1, 3, 8, 20)
 CRASH_STEP_SEEDS = range(3)
+
+# Recorded from the simulator before its crash countdown was folded into one dict.
+MIXED_DIGEST = "cbd2601d026180497f49f2e94bcfeac168f19e1b15f917efcffe4a0d7c6d1f47"
+MIXED_CRASH_STEPS = (None, 0, 2, 5, 12)
+MIXED_SEEDS = range(20)
 
 
 def matrix():
@@ -51,22 +62,52 @@ def matrix():
                         yield sim.SimConfig(r, seed, scenario, faults, delivery)
 
 
-def digest() -> tuple[str, int, int]:
-    """(SHA-256 hex digest, runs, events) of the pinned matrix."""
+def mixed_matrix():
+    """Every SimConfig of the mixed-fault matrix, in a fixed order."""
+    for r in ROWS:
+        crashing = range(1, max(bft.fault_tolerance(r), 1) + 1)
+        for delivery in sim.DELIVERY_MODES:
+            for scenario in sim.SCENARIOS:
+                for crash_step in MIXED_CRASH_STEPS:
+                    faults = (sim.Fault(0, sim.BYZANTINE),) + tuple(
+                        sim.Fault(n, sim.CRASH, crash_step) for n in crashing
+                    )
+                    for seed in MIXED_SEEDS:
+                        yield sim.SimConfig(r, seed, scenario, faults, delivery)
+
+
+def _digest(configs, record) -> tuple[str, int, int]:
+    """(SHA-256 hex digest, runs, events) over record(trace) of each run."""
     machines = {r: bft.generate(r) for r in ROWS}
     h = hashlib.sha256()
     runs = events = 0
-    for config in matrix():
+    for config in configs:
         t = sim.run_simulation(machines[config.replication_factor], config)
-        h.update(repr((t.events, t.statuses, t.finish_orders, t.faulty)).encode())
+        h.update(record(t).encode())
         runs += 1
         events += len(t.events)
     return h.hexdigest(), runs, events
 
 
+def digest() -> tuple[str, int, int]:
+    """(SHA-256 hex digest, runs, events) of the pinned matrix."""
+    return _digest(matrix(), lambda t: repr((t.events, t.statuses, t.finish_orders, t.faulty)))
+
+
+def mixed_digest() -> tuple[str, int, int]:
+    """(SHA-256 hex digest, runs, events) of the mixed-fault matrix."""
+    return _digest(mixed_matrix(), sim.SimTrace.serialize)
+
+
 if __name__ == "__main__":
-    value, runs, events = digest()
-    ok = value == TRACE_DIGEST
-    print(f"{value} runs={runs} events={events} python={sys.version.split()[0]} "
-          f"{'matches' if ok else 'DIFFERS from'} the pinned digest")
-    sys.exit(0 if ok else 1)
+    failed = False
+    for name, compute, pinned in (
+        ("TRACE_DIGEST", digest, TRACE_DIGEST),
+        ("MIXED_DIGEST", mixed_digest, MIXED_DIGEST),
+    ):
+        value, runs, events = compute()
+        ok = value == pinned
+        failed |= not ok
+        print(f"{name} {value} runs={runs} events={events} python={sys.version.split()[0]} "
+              f"{'matches' if ok else 'DIFFERS from'} the pinned digest")
+    sys.exit(1 if failed else 0)
