@@ -14,14 +14,17 @@ successor state, with all control decisions taken at generation time.
 State vectors hold, in order: put_received, votes_received, vote_sent,
 commits_received, commit_sent, could_choose, has_chosen.
 
-The rules read the protocol sketch as follows where it leaves a detail open:
+The rules read the protocol sketch as follows where it leaves a detail open.
+PUT, VOTE and FREE end in one shared vote-and-commit step (_vote_and_commit);
+each rule says only when the node may vote, so P-a, V-a and F-b live there:
 
 - a put votes at once when the node has claimed the slot, when the slot is
-  free to claim, or when enough peers have already voted (P-a);
-- crossing the vote threshold votes whether or not the put has arrived (V-a);
+  free to claim, or when enough peers have already voted (P-a, on_put);
+- crossing the vote threshold votes whether or not the put has arrived, and
+  a node that votes so gives up could_choose (V-a, on_vote);
 - a FREE message marks the next history slot as free, and claims it (setting
-  has_chosen, announcing "not free" to the peers and voting) only when the
-  update's put has arrived and the node has neither voted nor chosen (F-b);
+  has_chosen, announcing "not free" and voting) only when the update's put
+  has arrived and the node has neither voted nor chosen (F-b, on_free);
 - a NOT_FREE message voids the claim entirely, clearing both slot flags (N-b);
 - FREE and NOT_FREE have no effect once the node has sent its commit, at
   which point the slot contention is settled for this run (G-a).
@@ -119,39 +122,41 @@ def bft_spec(r: int) -> engine.MetaModelSpec:
     )
 
 
-def _canonical(actions: list[str]) -> tuple[str, ...]:
-    # Serialized action order is fixed regardless of rule-internal order.
-    if len(actions) < 2:
-        return tuple(actions)
-    return tuple([a for a in ACTIONS if a in actions])
+def _vote_and_commit(may_vote: bool, s: tuple, p: BftParameters) -> tuple:
+    """The step on_put, on_vote and on_free end in, on the state each has
+    updated: vote if may_vote and not yet voted, claiming the slot when it
+    could and has not chosen; then commit, unless sent, once votes_received
+    plus the own vote reaches r - f.  Actions come in ACTIONS order."""
+    put, votes, vsent, commits, csent, could, chosen = s
+    actions = []
+    vote = may_vote and not vsent
+    if vote:
+        actions.append(SEND_VOTE)
+        vsent = True
+    if not csent and votes + vsent >= p.vote_threshold:
+        actions.append(SEND_COMMIT)
+        csent = True
+    if vote and could and not chosen:
+        actions.append(SEND_NOT_FREE)
+        chosen = True
+    return tuple(actions), (put, votes, vsent, commits, csent, could, chosen)
 
 
 def on_vote(s: tuple, p: BftParameters) -> tuple:
     """Count a received vote; crossing the vote threshold votes and commits.
 
     The total vote count is votes_received plus the node's own vote.  When
-    the threshold is reached and the node has not voted yet, it votes
-    (claiming the slot first when it still could), then sends a commit if it
-    has not already done so.  A vote arriving with the counter saturated at
-    r - 1 has no effect.
+    the threshold is reached the shared step votes and commits; a node that
+    votes here also gives up could_choose (V-a).  A vote arriving with the
+    counter saturated at r - 1 has no effect.
     """
     put, votes, vsent, commits, csent, could, chosen = s
     if votes >= p.replication_factor - 1:
         return (), s
     votes += 1
-    actions: list[str] = []
-    if votes + vsent >= p.vote_threshold:
-        if not vsent:
-            if could and not chosen:
-                chosen = True
-                actions.append(SEND_NOT_FREE)
-            actions.append(SEND_VOTE)
-            vsent = True
-            could = False
-        if not csent:
-            actions.append(SEND_COMMIT)
-            csent = True
-    return _canonical(actions), (put, votes, vsent, commits, csent, could, chosen)
+    crossed = votes + vsent >= p.vote_threshold
+    actions, succ = _vote_and_commit(crossed, (put, votes, vsent, commits, csent, could, chosen), p)
+    return actions, (*succ[:5], False, succ[6]) if crossed and not vsent else succ
 
 
 def on_commit(s: tuple, p: BftParameters) -> tuple:
@@ -166,56 +171,37 @@ def on_commit(s: tuple, p: BftParameters) -> tuple:
         return (), s
     commits += 1
     if commits >= p.commit_threshold:
-        actions = [] if csent else [SEND_COMMIT]
-        return _canonical(actions), FINISH
+        return () if csent else (SEND_COMMIT,), FINISH
     return (), (put, votes, vsent, commits, csent, could, chosen)
 
 
 def on_free(s: tuple, p: BftParameters) -> tuple:
     """The next history slot is free: choose this update when there is one to vote for.
 
-    Choosing sets has_chosen, announces "not free" to the peers and votes;
-    the message is ignored once the node has sent its commit.  A commit
-    follows immediately when the total vote count already meets the
-    threshold.
+    The shared step votes, claiming the slot, when the put has arrived and
+    the node has not chosen (F-b), and commits once the total vote count
+    meets the threshold.  Ignored once the node has sent its commit.
     """
     put, votes, vsent, commits, csent, could, chosen = s
     if csent:
         return (), s
-    could = True
-    actions: list[str] = []
-    if put and not vsent and not chosen:
-        chosen = vsent = True
-        actions += (SEND_NOT_FREE, SEND_VOTE)
-    if votes + vsent >= p.vote_threshold:
-        actions.append(SEND_COMMIT)
-        csent = True
-    return _canonical(actions), (put, votes, vsent, commits, csent, could, chosen)
+    may_vote = put and not chosen
+    return _vote_and_commit(may_vote, (put, votes, vsent, commits, csent, True, chosen), p)
 
 
 def on_put(s: tuple, p: BftParameters) -> tuple:
     """Record the client's update; vote at once when the node already may.
 
-    A duplicate put has no effect.  The node votes immediately if it has
+    A duplicate put has no effect.  The shared step votes if the node has
     already claimed the slot, if the slot is free to claim, or if enough
-    peers have voted; a commit follows when the total vote count meets the
+    peers have voted (P-a), and commits once the total vote count meets the
     threshold.
     """
     put, votes, vsent, commits, csent, could, chosen = s
     if put:
         return (), s
-    put = True
-    actions: list[str] = []
-    if not vsent and (chosen or could or votes >= p.vote_threshold):
-        if could and not chosen:
-            chosen = True
-            actions.append(SEND_NOT_FREE)
-        actions.append(SEND_VOTE)
-        vsent = True
-    if votes + vsent >= p.vote_threshold and not csent:
-        actions.append(SEND_COMMIT)
-        csent = True
-    return _canonical(actions), (put, votes, vsent, commits, csent, could, chosen)
+    may_vote = chosen or could or votes >= p.vote_threshold
+    return _vote_and_commit(may_vote, (True, votes, vsent, commits, csent, could, chosen), p)
 
 
 def on_not_free(s: tuple, p: BftParameters) -> tuple:

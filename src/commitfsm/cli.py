@@ -195,3 +195,6 @@ def main(argv=None) -> int:
     except (bft.ParameterError, sim.ConfigError, render.OptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (OverflowError, MemoryError) as exc:  # e.g. a replication factor of 10**20
+        print(f"error: too large to build: {exc!r}", file=sys.stderr)
+        return EXIT_FAILURE

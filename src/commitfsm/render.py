@@ -112,6 +112,11 @@ def _check_comments(machine: StateMachine) -> None:
                 raise SourceError(f"annotation of state {name!r}{on} has a line break or null byte")
 
 
+# Names the generated module defines, or reads once the machine class exists.
+_RESERVED = frozenset(("ActionSink", "STATES", "MESSAGES", "START_STATE", "FINISH_STATE",
+                       "_STATE_SET", "create", "ValueError", "RuntimeError"))
+
+
 def _class_name(module_name: str) -> str:
     return "".join(part.capitalize() for part in module_name.split("_")) or "Machine"
 
@@ -135,15 +140,19 @@ def render_source(
     if not module_name.isidentifier() or keyword.iskeyword(module_name):
         raise OptionError(f"invalid module name {module_name!r}")
     cls = _class_name(module_name)
-    # The machine class must not replace the sink base class (Python reads NFKC).
-    if unicodedata.normalize("NFKC", cls) == "ActionSink":
-        raise OptionError(f"module name {module_name!r} names its machine class ActionSink")
     methods = _identifiers("action", machine.actions, sink_method, "the sink method",
                            ("on_finish",))
     handlers = _identifiers("message", machine.messages, lambda m: f"receive_{m.lower()}",
                             "the handler")
     names = sorted(machine.states)
     consts = _identifiers("state", names, state_constant, "the constant")
+    # The machine class must not replace a name the module defines or reads
+    # after the class statement (Python reads NFKC).
+    key = unicodedata.normalize("NFKC", cls)
+    taken = _RESERVED.union(unicodedata.normalize("NFKC", c) for c in consts.values())
+    if not cls.isidentifier() or keyword.iskeyword(key) or key in taken:
+        raise OptionError(f"module name {module_name!r} names its machine class {key!r}, "
+                          "which the module cannot use")
     if include_annotations:
         _check_comments(machine)
     out = []

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -19,8 +20,14 @@ from commitfsm.bft import (
     on_vote,
     transition_rules,
 )
-from commitfsm.fsm import FINISH, state_counts, state_name
-from reference import bft_pipeline_args, bisimulation_oracle, product_check, reference_annotate
+from commitfsm.fsm import FINISH, serialize, state_counts, state_name
+from reference import (
+    bft_pipeline_args,
+    bisimulation_oracle,
+    product_check,
+    raw_machine,
+    reference_annotate,
+)
 
 
 class TestParameters:
@@ -274,6 +281,22 @@ class TestRuleProperties:
                     1 for i in (0, 1, 3) if succ[i] != s[i]
                 )
                 assert changed <= 1
+
+
+# SHA-256 of the serialized raw machine, every component vector with its
+# transitions, recorded at commit 4f5088a.  The documents and product_check
+# pin only the vectors the start reaches; these pin the rest as well.
+RAW_MACHINE_SHA256 = {
+    4: "e30d20304f65bac0fa78539b39e5e2e15569de88ebd82537bb0553a12db66640",
+    7: "65d585466d655d0109ac51290f50aa07ca42d3a3e2d455b945a62f87b7899f56",
+    13: "d20f8302968f8e71ec41a5886a8edca90fe91800d5100d0c159e6ecb7e3d9f00",
+}
+
+
+@pytest.mark.parametrize("r", sorted(RAW_MACHINE_SHA256))
+def test_raw_machine_digest(r):
+    digest = hashlib.sha256(serialize(raw_machine(r)).encode()).hexdigest()
+    assert digest == RAW_MACHINE_SHA256[r]
 
 
 class TestGeneratedFamily:

@@ -62,6 +62,18 @@ class TestGenerate:
     def test_missing_arguments(self):
         assert main(["generate"]) == 2
 
+    # Each fails at once: 10**20 overflows a range length, 10**18 a tuple size.
+    @pytest.mark.parametrize("argv", [
+        ["generate", "-r", str(10**20)], ["generate", "-r", str(10**18)],
+        ["simulate", "-r", str(10**20)], ["bench", "--f", str(10**20)]])
+    def test_replication_factor_too_large_to_build(self, argv, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        if argv[0] == "generate":
+            argv = [*argv, "-o", str(path)]
+        assert main(argv) == 1
+        assert "too large to build" in _assert_one_error_line(capsys)
+        assert not path.exists()
+
     def test_output_directory_missing(self, tmp_path, capsys):
         rc = main(["generate", "-r", "4", "-o", str(tmp_path / "absent" / "m4.json")])
         assert rc == 1
@@ -164,6 +176,14 @@ class TestRender:
                    "-o", str(out), "--module-name", "action_sink"])
         assert rc == 2
         assert "ActionSink" in _assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_module_name_that_overwrites_a_module_name(self, machine_doc, tmp_path, capsys):
+        out = tmp_path / "value_error.py"
+        rc = main(["render", "-i", str(machine_doc), "--format", "source",
+                   "-o", str(out), "--module-name", "value_error"])
+        assert rc == 2
+        assert "'ValueError'" in _assert_one_error_line(capsys)
         assert not out.exists()
 
     def test_renamed_action_renders_in_every_format(self, machine_doc, tmp_path):

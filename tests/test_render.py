@@ -232,6 +232,28 @@ class TestSource:
         with pytest.raises(OptionError, match="ActionSink"):
             render_source(final4, module_name=module_name)
 
+    @pytest.mark.parametrize("module_name,cls", [
+        ("value_error", "ValueError"), ("runtime_error", "RuntimeError"),
+        ("s_t_a_t_e_s", "STATES"), ("m_e_s_s_a_g_e_s", "MESSAGES")])
+    def test_module_name_that_overwrites_a_module_name(self, final4, module_name, cls):
+        # The class would replace a tuple the module reads, or an exception
+        # class its methods raise.
+        with pytest.raises(OptionError, match=repr(cls)):
+            render_source(final4, module_name=module_name)
+
+    # Mathematical bold capitals have no lower case and U+FF3F reads as "_",
+    # so these reach START_STATE, create and a state constant in NFKC form;
+    # "none" and "_1" would give "class None:" and "class 1:".
+    @pytest.mark.parametrize("module_name", [
+        "none", "true", "_1", "\U0001d41create",
+        "\U0001d412\U0001d413\U0001d400\U0001d411\U0001d413\uff3f"
+        "\U0001d412\U0001d413\U0001d400\U0001d413\U0001d404",
+        "s\uff3f\U0001d405\uff3f0\uff3f\U0001d405\uff3f0"
+        "\uff3f\U0001d405\uff3f\U0001d405\uff3f\U0001d405"])
+    def test_module_name_that_gives_no_free_class_name(self, final4, module_name):
+        with pytest.raises(OptionError, match="machine class"):
+            render_source(final4, module_name=module_name)
+
     def test_co_simulation_sample(self, final4, generated4):
         sequences = sim.random_sequences(final4, 100, 20, seed=7)
         result = sim.co_simulate(final4, generated4, sequences)
