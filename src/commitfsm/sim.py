@@ -3,10 +3,12 @@
 A client broadcasts one put per update to every node; every SEND_* action a
 node's machine performs is broadcast to all its peers (never to itself).
 FREE and NOT_FREE arise from a per-node slot controller that arbitrates
-which pending update may claim the next history slot; a network NOT_FREE
-carrying update u is delivered into the receiving node's machines for the
-competing updates.  Delivery order is driven entirely by the seed, so a
-trace is a pure function of (machine, config).
+which pending update may claim the next history slot; it alone records what
+its node finished, and the node's history is its priority order up to the
+first update not finished.  A network NOT_FREE carrying update u is
+delivered into the receiving node's machines for the competing updates.
+The seed alone drives delivery order: a trace is a pure function of
+(machine, config).
 
 Fault kinds: a silent node drops all its outbound messages, a crashed node
 stops processing after its crash step's number of distinct deliveries
@@ -18,7 +20,7 @@ syntactically valid protocol message.
 from __future__ import annotations
 
 import random
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -176,13 +178,14 @@ class Verdict(NamedTuple):
 
 
 class SlotController:
-    """Per-node arbiter of the next history slot.
+    """Per-node arbiter of the next history slot, and the one record of what
+    its node has finished: the node's history is ``priority[:done]``.
 
     Grants FREE to at most one pending update at a time, in a fixed global
-    priority order (update id order) so that every correct node works through
-    concurrent updates in the same sequence; emits NOT_FREE to the competing
-    pending updates on each grant and releases the next FREE when the granted
-    update finishes.
+    priority order (update id order), so the controllers, not the protocol,
+    fix the order of every history; emits NOT_FREE to the competing pending
+    updates on each grant and releases the next FREE when the granted update
+    finishes.
     """
 
     def __init__(self, updates: tuple[str, ...]):
@@ -190,6 +193,7 @@ class SlotController:
         self.pending: set[str] = set()
         self.finished: set[str] = set()
         self.granted: str | None = None
+        self.done = 0  # priority[done] is the first update not finished
 
     def on_put(self, update: str) -> list[tuple[str, str]]:
         if update not in self.finished:
@@ -201,24 +205,23 @@ class SlotController:
         self.finished.add(update)
         if self.granted == update:
             self.granted = None
+        while self.done < len(self.priority) and self.priority[self.done] in self.finished:
+            self.done += 1
         return self._pump()
 
     def _pump(self) -> list[tuple[str, str]]:
         """Return locally delivered (kind, update) slot messages."""
-        if self.granted is not None:
+        if self.granted is not None or self.done == len(self.priority):
             return []
-        for update in self.priority:
-            if update in self.finished:
-                continue
-            if update not in self.pending:
-                return []  # wait for the put of the next update in order
-            self.granted = update
-            out = [("FREE", update)]
-            for other in self.priority:
-                if other in self.pending and other != update:
-                    out.append(("NOT_FREE", other))
-            return out
-        return []
+        update = self.priority[self.done]
+        if update not in self.pending:
+            return []  # wait for the put of the next update in order
+        self.granted = update
+        out = [("FREE", update)]
+        for other in self.priority:
+            if other in self.pending and other != update:
+                out.append(("NOT_FREE", other))
+        return out
 
 
 def _below(getrandbits, n: int) -> int:
@@ -282,7 +285,6 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
     controllers = [SlotController(updates) for _ in range(r)]
     crashed: set[int] = set()
     seen: set[tuple] = set()
-    finish_orders: dict[int, list[str]] = {n: [] for n in range(r)}
     finish_steps: dict[int, int] = {}
     events: list[Event] = []
     step_no = sent = deduplicated = dropped = injected = local = 0
@@ -348,13 +350,12 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
             cursors[node, u] = after
             events.append(Event(step_no, sender, node, kind, u, before, after, actions))
             if after == finish:
-                order = finish_orders[node]
-                order.append(u)
-                if len(order) == n_updates:
-                    finish_steps[node] = step_no
-                for k, v in controllers[node].on_finish(u):
+                ctrl = controllers[node]
+                for k, v in ctrl.on_finish(u):
                     put(CONTROLLER, node, k, v)
                     local += 1
+                if len(ctrl.finished) == n_updates:
+                    finish_steps[node] = step_no
             if not actions or node in silent:
                 continue
             for action in actions:
@@ -377,10 +378,10 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
                 local += 1
 
     statuses = {}
-    for node in range(r):
+    for node, ctrl in enumerate(controllers):
         if node in crashed:
             statuses[node] = CRASHED
-        elif len(finish_orders[node]) == n_updates:
+        elif len(ctrl.finished) == n_updates:
             statuses[node] = FINISHED
         else:
             statuses[node] = STUCK
@@ -391,16 +392,17 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
         delivery=config.delivery,
         events=tuple(events),
         statuses=statuses,
-        finish_orders={n: tuple(v) for n, v in finish_orders.items()},
+        finish_orders={n: ctrl.priority[:ctrl.done] for n, ctrl in enumerate(controllers)},
         faulty=tuple(sorted(f.node for f in config.faults)),
         counters=SimCounters(sent, step_no, deduplicated, dropped, injected, local, finish_steps),
     )
 
 
 def check_agreement(trace: SimTrace, config: SimConfig) -> Verdict:
-    """Safety: finished correct nodes agree on what finished (and in what
-    order, for concurrent updates).  Liveness: with at most f faulty nodes,
-    every correct node finishes."""
+    """Safety: finished correct nodes agree on what finished, in what order;
+    histories follow the controllers' priority order, so only a doctored trace
+    fails this (a safety check that can fail on a run is still to come).
+    Liveness: with at most f faulty nodes, every correct node finishes."""
     f = fault_tolerance(config.replication_factor)
     correct = [n for n in range(config.replication_factor) if n not in trace.faulty]
     finished = [n for n in correct if trace.statuses.get(n) == FINISHED]
@@ -436,19 +438,15 @@ def stall_report(trace: SimTrace, config: SimConfig) -> list[str]:
             f"safety: node {a} finished {';'.join(orders[a])} "
             f"but node {b} finished {';'.join(orders[b])}"
         )
-    delivered: dict[tuple, int] = {}
-    for e in trace.events:
-        if e.message == "VOTE" or e.message == "COMMIT":
-            key = (e.receiver, e.update, e.message)
-            delivered[key] = delivered.get(key, 0) + 1
+    delivered = Counter((e.receiver, e.update, e.message) for e in trace.events)
     for n in correct:
         if n in finished:
             continue
         update = next((u for u in config.updates if u not in orders[n]), None)
         if update is None:  # STUCK although every update finished: a doctored trace
             continue
-        votes = delivered.get((n, update, "VOTE"), 0)
-        commits = delivered.get((n, update, "COMMIT"), 0)
+        votes = delivered[n, update, "VOTE"]
+        commits = delivered[n, update, "COMMIT"]
         lines.append(
             f"liveness: node {n} is {trace.statuses.get(n)} on {update}: "
             f"{votes} VOTE delivered for a quorum of r-f={p.vote_threshold} (own vote included), "

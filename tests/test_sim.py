@@ -19,14 +19,19 @@ from commitfsm.sim import (
     CRASH,
     CRASHED,
     DELIVERY_MODES,
+    FAULT_KINDS,
+    FIFO_PER_LINK,
     FINISHED,
     RANDOM_INTERLEAVE,
     SCENARIOS,
     SILENT,
+    SINGLE_UPDATE,
     STUCK,
     ConfigError,
+    Event,
     Fault,
     SimConfig,
+    SimTrace,
     SlotController,
     Verdict,
     _below,
@@ -115,6 +120,22 @@ class TestSlotController:
         assert c.on_put("U1") == []
         assert c.granted == "U0"
 
+    def test_history_waits_for_the_earlier_update(self):
+        c = SlotController(("U0", "U1"))
+        c.on_put("U0")
+        c.on_put("U1")
+        # the node learns of U1's commit before U0's
+        assert c.on_finish("U1") == []
+        assert (c.finished, c.done, c.granted) == ({"U1"}, 0, "U0")
+        assert c.on_finish("U0") == []
+        assert (c.done, c.granted) == (2, None)
+
+    def test_put_after_its_finish_grants_the_next_update(self):
+        c = SlotController(("U0", "U1"))
+        assert c.on_finish("U0") == []
+        assert c.on_put("U0") == [] and c.pending == set()
+        assert c.on_put("U1") == [("FREE", "U1")]
+
 
 class TestRunSimulation:
     def test_fault_free_run_finishes_everywhere(self, final4):
@@ -196,6 +217,17 @@ class TestRunSimulation:
         assert check_quorum_safety(trace, *thresholds) == []
         assert check_quorum_safety(doctored, *thresholds) == [
             f"step {echo.step}: commit echo without threshold"
+        ]
+
+    def test_commit_after_a_put_with_no_vote_delivered(self):
+        # a hand-built trace: the node's own vote is the only one it has
+        events = (
+            Event(1, "client", 0, "PUT", "U0", "A", "B", ("SEND_VOTE",)),
+            Event(2, "ctrl", 0, "FREE", "U0", "B", "C", ("SEND_COMMIT",)),
+        )
+        trace = SimTrace(4, SINGLE_UPDATE, 0, FIFO_PER_LINK, events, {}, {}, ())
+        assert check_quorum_safety(trace, 2, 2) == [
+            "step 2: SEND_COMMIT with total votes 1 < 2"
         ]
 
     @pytest.mark.parametrize("delivery", DELIVERY_MODES)
@@ -460,14 +492,17 @@ class TestStallReport:
             "safety: node 0 finished U0;U1 but node 2 finished U1;U0"
         ]
 
+    def test_safety_compares_with_the_first_finished_node(self, final4):
+        cfg = SimConfig(replication_factor=4, seed=3, scenario=CONCURRENT_UPDATES)
+        trace = run_simulation(final4, cfg)
+        doctored = dataclasses.replace(
+            trace, finish_orders={**trace.finish_orders, 1: ("U1", "U0")},
+        )
+        assert stall_report(doctored, cfg) == [
+            "safety: node 0 finished U0;U1 but node 1 finished U1;U0"
+        ]
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: concurrent updates with one crash fault under "
-    "random_interleave end FAIL(safety) at r = 4, seed 125; reproduce with "
-    "`commitfsm simulate -r 4 --scenario concurrent_updates --crash 1 "
-    "--delivery random_interleave --seed 125`",
-)
+
 def test_concurrent_crash_random_interleave_agrees(final4):
     cfg = SimConfig(
         replication_factor=4,
@@ -477,6 +512,33 @@ def test_concurrent_crash_random_interleave_agrees(final4):
         delivery=RANDOM_INTERLEAVE,
     )
     assert check_agreement(run_simulation(final4, cfg), cfg).ok
+
+
+@pytest.mark.slow
+def test_tolerated_fault_matrix_passes():
+    # r in {4, 7, 13}, seeds 0-299, both scenarios, each fault kind on nodes
+    # 0..f-1, both delivery modes: 10,800 runs, every history a prefix of the
+    # priority order even where a node learns of U1's commit before U0's
+    failures = []
+    runs = 0
+    for r in (4, 7, 13):
+        machine = bft.generate(r)
+        faulty = range(bft.fault_tolerance(r))
+        for scenario in SCENARIOS:
+            for kind in FAULT_KINDS:
+                for delivery in DELIVERY_MODES:
+                    faults = tuple(Fault(n, kind) for n in faulty)
+                    for seed in range(300):
+                        cfg = SimConfig(r, seed, scenario, faults, delivery)
+                        trace = run_simulation(machine, cfg)
+                        runs += 1
+                        verdict = check_agreement(trace, cfg)
+                        if not verdict.ok:
+                            failures.append((cfg, str(verdict)))
+                        for order in trace.finish_orders.values():
+                            assert order == cfg.updates[:len(order)], cfg
+    assert runs == 10_800
+    assert failures == []
 
 
 class TestCheckAgreement:

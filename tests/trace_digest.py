@@ -38,8 +38,9 @@ SEEDS = range(30)
 CRASH_STEPS = (0, 1, 3, 8, 20)
 CRASH_STEP_SEEDS = range(3)
 
-# Recorded from the simulator before its crash countdown was folded into one dict.
-MIXED_DIGEST = "cbd2601d026180497f49f2e94bcfeac168f19e1b15f917efcffe4a0d7c6d1f47"
+# Recorded when a node's history became its slot controller's priority order
+# up to the first update not finished; only one run's `finished=` field moved.
+MIXED_DIGEST = "8af052601f8fe0dae17ca21b71e3fe4d4399570954006935075d548f994e136f"
 MIXED_CRASH_STEPS = (None, 0, 2, 5, 12)
 MIXED_SEEDS = range(20)
 
