@@ -77,6 +77,9 @@ class SimConfig:
     delivery: str = FIFO_PER_LINK
 
     def __post_init__(self):
+        for name in ("replication_factor", "seed"):
+            if type(value := getattr(self, name)) is not int:
+                raise ConfigError(f"{name} {value!r} must be an int")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.delivery not in DELIVERY_MODES:
@@ -229,7 +232,8 @@ def _below(getrandbits, n: int) -> int:
 
     This is the algorithm ``Random.randrange(n)`` and ``Random.choice`` run
     (CPython 3.10 to 3.13), draw for draw, so a trace depends only on the
-    generator's ``getrandbits`` stream.
+    generator's ``getrandbits`` stream.  ``run_simulation``'s delivery loop
+    writes the same draw inline for the pending index it picks each turn.
     """
     k = n.bit_length()
     x = getrandbits(k)
@@ -244,7 +248,7 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
     Pending deliveries are drained in a seeded order: fifo_per_link keeps
     per-(sender, receiver) FIFO queues and picks a random nonempty link each
     turn; random_interleave picks a random pending message regardless of
-    origin.  Every random index comes from ``_below``.
+    origin.  Every random index is ``_below``'s draw.
     """
     r = config.replication_factor
     if machine.replication_factor != r:
@@ -281,35 +285,56 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
     states = machine.states
     start = machine.start_state
     finish = machine.finish_state
-    cursors: dict[tuple[int, str], str] = {}
+    cursors = [dict.fromkeys(updates, start) for _ in range(r)]  # node -> update -> state
+    # the machines a delivery steps: a peer's NOT_FREE for u steps u's rivals
+    own = {u: (u,) for u in updates}
+    rivals = {u: tuple(v for v in updates if v != u) for u in updates}
     controllers = [SlotController(updates) for _ in range(r)]
     crashed: set[int] = set()
     seen: set[tuple] = set()
     finish_steps: dict[int, int] = {}
     events: list[Event] = []
+    new = tuple.__new__  # what Event's own __new__ calls, minus its frame
     step_no = sent = deduplicated = dropped = injected = local = 0
 
     fifo = config.delivery == FIFO_PER_LINK
     pending: list = []  # fifo: the nonempty link queues; else the messages
     if fifo:
         links: defaultdict[tuple, deque] = defaultdict(deque)
+        out = [[(p, links[names[n], p]) for p in peers[n]] for n in range(r)]
 
         def put(sender, receiver, kind, update):
             q = links[sender, receiver]
             if not q:
                 pending.append(q)
             q.append((sender, receiver, kind, update))
+
+        def broadcast(node, kind, update):
+            name = names[node]
+            for peer, q in out[node]:
+                if not q:
+                    pending.append(q)
+                q.append((name, peer, kind, update))
     else:
 
         def put(sender, receiver, kind, update):
             pending.append((sender, receiver, kind, update))
+
+        def broadcast(node, kind, update):
+            name = names[node]
+            pending.extend([(name, peer, kind, update) for peer in peers[node]])
 
     for update in updates:
         for node in range(r):
             put(CLIENT, node, "PUT", update)
 
     while pending:
-        i = _below(getrandbits, len(pending))
+        # _below's draw, inlined
+        n = len(pending)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
         if fifo:
             q = pending[i]
             item = q.popleft()
@@ -330,14 +355,9 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
             seen.add(item)
         if node in left:
             left[node] -= 1
-        if sender != CONTROLLER and kind == "NOT_FREE":
-            # a peer claimed the slot for `update`: its competitors at this
-            # node may no longer choose
-            targets = [u for u in updates if u != update]
-        else:
-            targets = (update,)
-        for u in targets:
-            before = cursors.get((node, u), start)
+        cursor = cursors[node]
+        for u in rivals[update] if kind == "NOT_FREE" and sender != CONTROLLER else own[update]:
+            before = cursor[u]
             if before == finish:
                 continue
             try:
@@ -346,9 +366,8 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
                 step(machine, before, kind)  # raises the interpreter's error
                 raise
             actions = t.actions
-            after = t.to
-            cursors[node, u] = after
-            events.append(Event(step_no, sender, node, kind, u, before, after, actions))
+            after = cursor[u] = t.to
+            events.append(new(Event, (step_no, sender, node, kind, u, before, after, actions)))
             if after == finish:
                 ctrl = controllers[node]
                 for k, v in ctrl.on_finish(u):
@@ -362,15 +381,14 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
                 wire = wire_of.get(action)
                 if wire is None:
                     continue
-                name = names[node]
                 if node in byzantine:
+                    name = names[node]
                     for peer in peers[node]:
                         put(name, peer, forged[_below(getrandbits, len(forged))],
                             updates[_below(getrandbits, n_updates)])
                     injected += r - 1
                 else:
-                    for peer in peers[node]:
-                        put(name, peer, wire, u)
+                    broadcast(node, wire, u)
                 sent += r - 1
         if kind == "PUT":
             for k, v in controllers[node].on_put(update):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -85,6 +86,17 @@ class TestConfig:
     @pytest.mark.parametrize("crash_step", [None, 0, 7])
     def test_valid_crash_step_accepted(self, crash_step):
         assert Fault(0, CRASH, crash_step).crash_step == crash_step
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("replication_factor", 4.0), ("replication_factor", True), ("replication_factor", "4"),
+         ("seed", None), ("seed", 0.0), ("seed", "0"), ("seed", False)],
+    )
+    def test_size_or_seed_that_is_no_plain_int_rejected(self, field, value):
+        # a seed of None drew from OS entropy, so one config gave two traces;
+        # a size of 4.0 passed here and raised TypeError in run_simulation
+        with pytest.raises(ConfigError, match=f"{field} {value!r} must be an int"):
+            SimConfig(**{"replication_factor": 4, "seed": 0, field: value})
 
     @pytest.mark.parametrize("field", ["scenario", "delivery"])
     def test_unknown_scenario_or_delivery_mode(self, field):
@@ -350,6 +362,31 @@ class TestTracePin:
         value, runs, events = trace_digest.mixed_digest()
         assert (runs, events) == (1200, 155732)
         assert value == trace_digest.MIXED_DIGEST
+
+    @pytest.mark.parametrize("scenario, delivery, digest", [
+        (SINGLE_UPDATE, FIFO_PER_LINK,
+         "d04bd414f1e294718270c51120ed2251da561e8a6877dcb98f262b392b003165"),
+        (SINGLE_UPDATE, RANDOM_INTERLEAVE,
+         "f8b53f975e7cabb590e51760b43db23ee2ea983e8101f6c661ceeaa5dd57eb9f"),
+        (CONCURRENT_UPDATES, FIFO_PER_LINK,
+         "bd9d859c35d184ff7cb44bf064c0f8996e4c9a52b2dc68c813769b87adad9b77"),
+        (CONCURRENT_UPDATES, RANDOM_INTERLEAVE,
+         "74646b118fdb54fdd1d26f3034d7652fd2a7d0302a4543b4f2c7468c9ac137fc"),
+    ])
+    def test_repeated_broadcast_matches_the_pinned_digest(self, final4, scenario, delivery, digest):
+        # every voting transition votes twice, so each correct node puts every
+        # VOTE twice on each of its links: the digests pin the shared link
+        # queues and the deduplication of repeats, which generated machines
+        # never send; recorded before the delivery loop was inlined
+        states = {name: s._replace(transitions={
+            m: t._replace(actions=t.actions + ("SEND_VOTE",)) if "SEND_VOTE" in t.actions else t
+            for m, t in s.transitions.items()}) for name, s in final4.states.items()}
+        machine = dataclasses.replace(final4, states=states)
+        assert validate(machine) == []
+        config = SimConfig(4, 0, scenario, delivery=delivery)
+        trace = run_simulation(machine, config)
+        assert trace.counters.deduplicated == 12 * len(config.updates)
+        assert hashlib.sha256(trace.serialize().encode()).hexdigest() == digest
 
     def test_sampler_draws_as_randrange_and_choice(self):
         seq = [f"x{i}" for i in range(300)]
