@@ -20,9 +20,9 @@ syntactically valid protocol message.
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .bft import ACTIONS, BftParameters, fault_tolerance
@@ -84,7 +84,11 @@ class SimConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.delivery not in DELIVERY_MODES:
             raise ConfigError(f"unknown delivery mode {self.delivery!r}")
-        nodes = [f.node for f in self.faults]
+        faults = self.faults
+        if not isinstance(faults, (tuple, list)) or not all(isinstance(f, Fault) for f in faults):
+            raise ConfigError(f"fault plan {faults!r} must be a tuple of Fault")
+        object.__setattr__(self, "faults", tuple(faults))  # a list left the config unhashable
+        nodes = [f.node for f in faults]
         if len(set(nodes)) != len(nodes):
             raise ConfigError("fault plan names a node twice")
         if len(nodes) >= self.replication_factor:
@@ -242,6 +246,17 @@ def _below(getrandbits, n: int) -> int:
     return x
 
 
+@lru_cache(maxsize=16)  # bounded: a process that runs many sizes keeps only recent ones
+def _layout(r: int, updates: tuple[str, ...]):
+    """Node names, each node's peers, and the machines a delivery for u steps (u
+    alone, or u's rivals for a peer's NOT_FREE): shared by all runs, never mutated."""
+    names = tuple(str(n) for n in range(r))
+    peers = tuple(tuple(p for p in range(r) if p != n) for n in range(r))
+    own = {u: (u,) for u in updates}
+    rivals = {u: tuple(v for v in updates if v != u) for u in updates}
+    return names, peers, own, rivals
+
+
 def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
     """Run one seeded scenario to completion and return the full trace.
 
@@ -280,15 +295,11 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
     wire_of = {a: m for a in machine.actions if (m := action_message(a))}
     # What a Byzantine node may forge: any message but the controller-local FREE.
     forged = tuple(m for m in machine.messages if m != "FREE")
-    names = [str(n) for n in range(r)]
-    peers = [[p for p in range(r) if p != n] for n in range(r)]
+    names, peers, own, rivals = _layout(r, updates)
     states = machine.states
     start = machine.start_state
     finish = machine.finish_state
     cursors = [dict.fromkeys(updates, start) for _ in range(r)]  # node -> update -> state
-    # the machines a delivery steps: a peer's NOT_FREE for u steps u's rivals
-    own = {u: (u,) for u in updates}
-    rivals = {u: tuple(v for v in updates if v != u) for u in updates}
     controllers = [SlotController(updates) for _ in range(r)]
     crashed: set[int] = set()
     seen: set[tuple] = set()
@@ -300,11 +311,13 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
     fifo = config.delivery == FIFO_PER_LINK
     pending: list = []  # fifo: the nonempty link queues; else the messages
     if fifo:
-        links: defaultdict[tuple, deque] = defaultdict(deque)
-        out = [[(p, links[names[n], p]) for p in peers[n]] for n in range(r)]
+        # each node's (peer, queue) out-links; put's sender -> receiver -> queue
+        out = [[(p, deque()) for p in ps] for ps in peers]
+        links = {CLIENT: [deque() for _ in range(r)], CONTROLLER: [deque() for _ in range(r)]}
+        links.update((names[n], dict(out[n])) for n in byzantine)
 
         def put(sender, receiver, kind, update):
-            q = links[sender, receiver]
+            q = links[sender][receiver]
             if not q:
                 pending.append(q)
             q.append((sender, receiver, kind, update))
@@ -344,16 +357,18 @@ def run_simulation(machine: StateMachine, config: SimConfig) -> SimTrace:
             item = pending.pop(i)
         step_no += 1
         sender, node, kind, update = item
-        if node in left and not left[node]:
+        crashing = left and node in left
+        if crashing and not left[node]:
             crashed.add(node)
             dropped += 1
             continue
         if sender != CLIENT and sender != CONTROLLER:
-            if item in seen:
+            size = len(seen)
+            seen.add(item)  # hashes the item once
+            if len(seen) == size:
                 deduplicated += 1
                 continue
-            seen.add(item)
-        if node in left:
+        if crashing:
             left[node] -= 1
         cursor = cursors[node]
         for u in rivals[update] if kind == "NOT_FREE" and sender != CONTROLLER else own[update]:

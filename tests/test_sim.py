@@ -36,6 +36,7 @@ from commitfsm.sim import (
     SlotController,
     Verdict,
     _below,
+    _layout,
     check_agreement,
     check_quorum_safety,
     co_simulate,
@@ -97,6 +98,19 @@ class TestConfig:
         # a size of 4.0 passed here and raised TypeError in run_simulation
         with pytest.raises(ConfigError, match=f"{field} {value!r} must be an int"):
             SimConfig(**{"replication_factor": 4, "seed": 0, field: value})
+
+    @pytest.mark.parametrize("faults", [((0, SILENT),), (None,), "silent", None])
+    def test_fault_plan_entry_that_is_no_fault_rejected(self, faults):
+        # a (node, kind) pair raised AttributeError, None TypeError
+        with pytest.raises(ConfigError, match="fault plan"):
+            SimConfig(4, 0, faults=faults)
+
+    @pytest.mark.parametrize("faults", [[Fault(1, SILENT)], []])
+    def test_fault_plan_list_is_stored_as_a_tuple(self, faults):
+        # a list was stored as given, and hash(config) raised TypeError
+        config = SimConfig(4, 0, faults=faults)
+        assert config.faults == tuple(faults)
+        assert hash(config) == hash(SimConfig(4, 0, faults=tuple(faults)))
 
     @pytest.mark.parametrize("field", ["scenario", "delivery"])
     def test_unknown_scenario_or_delivery_mode(self, field):
@@ -387,6 +401,25 @@ class TestTracePin:
         trace = run_simulation(machine, config)
         assert trace.counters.deduplicated == 12 * len(config.updates)
         assert hashlib.sha256(trace.serialize().encode()).hexdigest() == digest
+
+    def test_mixed_faults_in_reverse_order_match_the_pinned_digest(self):
+        # the shared layout is built afresh in the opposite order, r = 13 first;
+        # each run's text, hashed back in forward order, is the forward run's
+        _layout.cache_clear()
+        machines = {r: bft.generate(r) for r in trace_digest.ROWS}
+        configs = list(trace_digest.mixed_matrix())[::-1]
+        texts = [run_simulation(machines[c.replication_factor], c).serialize() for c in configs]
+        assert hashlib.sha256("".join(texts[::-1]).encode()).hexdigest() == trace_digest.MIXED_DIGEST
+
+    @pytest.mark.parametrize("delivery", DELIVERY_MODES)
+    def test_a_run_leaves_the_shared_layout_as_built(self, final4, delivery):
+        updates = ("U0", "U1")
+        layout = _layout(4, updates)
+        faults = (Fault(0, BYZANTINE), Fault(1, CRASH))
+        for seed in range(5):
+            run_simulation(final4, SimConfig(4, seed, CONCURRENT_UPDATES, faults, delivery))
+        assert _layout(4, updates) is layout
+        assert layout == _layout.__wrapped__(4, updates)
 
     def test_sampler_draws_as_randrange_and_choice(self):
         seq = [f"x{i}" for i in range(300)]
