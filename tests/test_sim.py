@@ -100,7 +100,7 @@ class TestConfig:
             SimConfig(**{"replication_factor": 4, "seed": 0, field: value})
 
     @pytest.mark.parametrize("faults", [((0, SILENT),), (None,), "silent", None])
-    def test_fault_plan_entry_that_is_no_fault_rejected(self, faults):
+    def test_fault_plan_that_is_no_tuple_of_faults_rejected(self, faults):
         # a (node, kind) pair raised AttributeError, None TypeError
         with pytest.raises(ConfigError, match="fault plan"):
             SimConfig(4, 0, faults=faults)
