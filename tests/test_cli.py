@@ -349,6 +349,8 @@ class TestSimulate:
             (["--silent", "2", "--crash", "2", "--seeds", "0"], "smaller than the cluster size"),
             (["--silent", "-1"], "non-negative"),
             (["--seeds", "-1"], "non-negative"),
+            (["--seed", "-1"], "seed -1 must be an int >= 0"),
+            (["--seed", "-3", "--seeds", "7"], "seed -3 must be an int >= 0"),
         ],
     )
     def test_bad_fault_flags_exit_2(self, flags, reason, capsys):

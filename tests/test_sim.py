@@ -5,7 +5,7 @@ import random
 import pytest
 
 import trace_digest
-from commitfsm import bft
+from commitfsm import bft, sim
 from commitfsm.fsm import (
     FINISH,
     UnknownStateError,
@@ -98,6 +98,12 @@ class TestConfig:
         # a size of 4.0 passed here and raised TypeError in run_simulation
         with pytest.raises(ConfigError, match=f"{field} {value!r} must be an int"):
             SimConfig(**{"replication_factor": 4, "seed": 0, field: value})
+
+    @pytest.mark.parametrize("seed", [-1, -3])
+    def test_negative_seed_rejected(self, seed):
+        # random.Random(-3) seeds as Random(3), so seed -3 replayed seed 3
+        with pytest.raises(ConfigError, match=f"seed {seed} must be an int >= 0"):
+            SimConfig(4, seed)
 
     @pytest.mark.parametrize("faults", [((0, SILENT),), (None,), "silent", None])
     def test_fault_plan_that_is_no_tuple_of_faults_rejected(self, faults):
@@ -364,6 +370,92 @@ class TestRunSimulation:
             assert ":" in fields[3]
 
 
+def _vote_again(machine, trigger):
+    """The machine with SEND_VOTE appended to every transition that performs `trigger`."""
+    states = {name: s._replace(transitions={
+        m: t._replace(actions=t.actions + ("SEND_VOTE",)) if trigger in t.actions else t
+        for m, t in s.transitions.items()}) for name, s in machine.states.items()}
+    return dataclasses.replace(machine, states=states)
+
+
+def _repeated_sends(machine):
+    """(state, message, action) of each reachable transition that performs a
+    broadcasting action twice, or one that some path from the start state to
+    it has already performed.
+
+    One fixed-point walk: ``sent[s]`` is the union, over the paths that reach
+    s, of the broadcasting actions along them.
+    """
+    wire = {a for a in machine.actions if action_message(a)}
+    sent = {machine.start_state: frozenset()}
+    work = [machine.start_state]
+    while work:
+        name = work.pop()
+        for t in machine.states[name].transitions.values():
+            after = sent[name].union(a for a in t.actions if a in wire)
+            before = sent.get(t.to)
+            if before is None or not after <= before:
+                sent[t.to] = after | (before or frozenset())
+                work.append(t.to)
+    return [(name, m, a) for name in sorted(sent)
+            for m, t in machine.states[name].transitions.items()
+            for a in dict.fromkeys(t.actions)
+            if a in wire and (a in sent[name] or t.actions.count(a) > 1)]
+
+
+class TestAtMostOnceSends:
+    """A node's machine for one update broadcasts each message at most once
+    along any path, which is why run_simulation checks for repeats only the
+    deliveries of Byzantine senders and of nodes that broadcast twice."""
+
+    @pytest.mark.parametrize("r", [4, 7, 13, 25])
+    def test_generated_machines_never_send_twice(self, r):
+        assert _repeated_sends(bft.generate(r)) == []
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The sender of each delivery run_simulation checks for a repeat.
+
+        Every ``set()`` that sim builds becomes one that records its added
+        items; the checked deliveries are the (sender, receiver, message,
+        update) items that reach a set.
+        """
+        senders = []
+
+        class Recording(set):
+            def add(self, item):
+                if type(item) is tuple and len(item) == 4:
+                    senders.append(item[0])
+                super().add(item)
+
+        monkeypatch.setattr(sim, "set", Recording, raising=False)
+        return senders
+
+    @pytest.mark.parametrize("delivery", DELIVERY_MODES)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_only_byzantine_senders_are_checked(self, final7, checked, scenario, delivery):
+        for faults in [(), (Fault(1, CRASH), Fault(2, SILENT)), (Fault(3, BYZANTINE),)]:
+            for seed in range(3):
+                run_simulation(final7, SimConfig(7, seed, scenario, faults, delivery))
+        assert checked and set(checked) == {"3"}
+
+    @pytest.mark.parametrize("delivery", DELIVERY_MODES)
+    def test_a_correct_node_is_checked_once_it_repeats(self, final4, checked, delivery):
+        config = SimConfig(4, 0, CONCURRENT_UPDATES, delivery=delivery)
+        run_simulation(_vote_again(final4, "SEND_COMMIT"), config)
+        assert set(checked) == {"0", "1", "2", "3"}
+
+    @pytest.mark.parametrize("trigger", ["SEND_VOTE", "SEND_COMMIT"])
+    def test_the_repeating_test_machines_are_caught(self, final4, trigger):
+        machine = _vote_again(final4, trigger)
+        repeats = _repeated_sends(machine)
+        assert repeats and {a for _, _, a in repeats} == {"SEND_VOTE"}
+        # only the committing ones vote again a step or more after the first vote
+        later = [(name, m) for name, m, a in repeats
+                 if machine.states[name].transitions[m].actions.count(a) == 1]
+        assert bool(later) == (trigger == "SEND_COMMIT")
+
+
 class TestTracePin:
     def test_traces_match_the_pinned_digest(self):
         value, runs, events = trace_digest.digest()
@@ -392,15 +484,34 @@ class TestTracePin:
         # VOTE twice on each of its links: the digests pin the shared link
         # queues and the deduplication of repeats, which generated machines
         # never send; recorded before the delivery loop was inlined
-        states = {name: s._replace(transitions={
-            m: t._replace(actions=t.actions + ("SEND_VOTE",)) if "SEND_VOTE" in t.actions else t
-            for m, t in s.transitions.items()}) for name, s in final4.states.items()}
-        machine = dataclasses.replace(final4, states=states)
+        machine = _vote_again(final4, "SEND_VOTE")
         assert validate(machine) == []
         config = SimConfig(4, 0, scenario, delivery=delivery)
         trace = run_simulation(machine, config)
         assert trace.counters.deduplicated == 12 * len(config.updates)
         assert hashlib.sha256(trace.serialize().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("r, deduplicated, digest", [
+        (4, 562, "eaac06e0d4a1f2ef09b0445bb435e9d17d8f69f94e08b0292003f38ed0ef789e"),
+        (7, 2200, "51b5ad79781b34213f2525884f62f104a71b05534077d8ec6e71490d770a8436"),
+    ])
+    def test_repeat_in_a_later_step_matches_the_pinned_digest(self, r, deduplicated, digest):
+        # every committing transition votes again, so a node repeats its VOTE
+        # a step or more after the first copies, some of them already delivered:
+        # those must still count as seen; recorded before deliveries of senders
+        # that cannot repeat skipped the check
+        machine = _vote_again(bft.generate(r), "SEND_COMMIT")
+        assert validate(machine) == []
+        h = hashlib.sha256()
+        total = 0
+        for scenario in SCENARIOS:
+            for delivery in DELIVERY_MODES:
+                for seed in range(10):
+                    config = SimConfig(r, seed, scenario, (Fault(1, CRASH),), delivery)
+                    trace = run_simulation(machine, config)
+                    h.update(trace.serialize().encode())
+                    total += trace.counters.deduplicated
+        assert (total, h.hexdigest()) == (deduplicated, digest)
 
     def test_mixed_faults_in_reverse_order_match_the_pinned_digest(self):
         # the shared layout is built afresh in the opposite order, r = 13 first;
